@@ -4,31 +4,15 @@
 // Paper: third-quartile accuracy stays >= ~0.86 as clients grow; spread
 // widens at 100 clients because per-client data shrinks.
 
-#include <cstring>
-
 #include "bench_common.h"
 #include "federated/fl_simulator.h"
 #include "graph/corpus.h"
-#include "gnn/trainer.h"
 #include "ml/metrics.h"
 
 using namespace fexiot;
 using namespace fexiot::bench;
 
 namespace {
-
-// Current resident set size from /proc/self/status (0 if unavailable).
-size_t CurrentRssBytes() {
-  FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  size_t kb = 0;
-  char line[256];
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::sscanf(line, "VmRSS: %zu kB", &kb) == 1) break;
-  }
-  std::fclose(f);
-  return kb * 1024;
-}
 
 void RunDataset(const char* name, const CorpusOptions& copt, GnnType type,
                 const std::vector<int>& client_counts) {
@@ -67,64 +51,6 @@ void RunDataset(const char* name, const CorpusOptions& copt, GnnType type,
   table.Print();
 }
 
-// Propagation-engine A/B at the largest client count: same corpus and
-// seeds under FEXIOT_PROPAGATION=dense vs sparse, reporting end-to-end
-// wall clock, the exact bytes the prepared propagation representations
-// hold, and the process RSS delta across setup + run. Accuracies are
-// bit-identical by construction (tests/test_sparse.cc), so only the cost
-// columns differ.
-void RunPropagationModes(const CorpusOptions& copt, int clients) {
-  std::printf("\n--- propagation engine A/B (IFTTT, %d clients) ---\n",
-              clients);
-  TablePrinter table({"mode", "wall s", "prop MiB", "rss delta MiB",
-                      "mean acc"});
-  for (PropagationMode mode :
-       {PropagationMode::kDense, PropagationMode::kSparse}) {
-    Rng rng(9000 + static_cast<uint64_t>(clients));
-    const int total = Scaled(900, 400);
-    FederatedCorpus corpus = BuildClusteredFederatedCorpus(
-        copt, total, clients, /*num_clusters=*/4, /*alpha=*/1.0,
-        /*profile_strength=*/0.7, &rng);
-
-    GnnConfig gc;
-    gc.type = GnnType::kGin;
-    gc.hidden_dim = 24;
-    gc.embedding_dim = 24;
-    gc.propagation = mode;
-    FlConfig fc;
-    fc.num_rounds = Scaled(8, 6);
-    fc.local.epochs = 2;
-    fc.local.learning_rate = 0.02;
-    fc.local.margin = 3.0;
-    fc.local.pairs_per_sample = 2.0;
-    fc.min_cluster_size = std::max(4, clients / 6);
-
-    // Exact steady-state propagation footprint across every client graph.
-    size_t prop_bytes = 0;
-    for (const auto& g : PrepareGraphs(corpus.data.graphs(), gc)) {
-      prop_bytes += g.PropagationBytes();
-    }
-
-    const size_t rss_before = CurrentRssBytes();
-    Stopwatch sw;
-    FederatedSimulator sim(gc, fc);
-    sim.SetupClients(corpus.data, corpus.partition, corpus.cluster_tests);
-    const FlResult res = sim.Run(FlAlgorithm::kFexiot).value();
-    const double wall = sw.ElapsedSeconds();
-    const size_t rss_after = CurrentRssBytes();
-
-    constexpr double kMi = 1024.0 * 1024.0;
-    table.AddRow(
-        {mode == PropagationMode::kDense ? "dense" : "sparse", Fmt(wall, 2),
-         Fmt(static_cast<double>(prop_bytes) / kMi, 2),
-         Fmt(static_cast<double>(rss_after) / kMi -
-                 static_cast<double>(rss_before) / kMi,
-             1),
-         Fmt(res.mean.accuracy)});
-  }
-  table.Print();
-}
-
 }  // namespace
 
 int main() {
@@ -154,8 +80,6 @@ int main() {
   hetero.max_nodes = 20;
   hetero.vulnerable_fraction = 0.3;
   RunDataset("heterogeneous", hetero, GnnType::kMagnn, counts);
-
-  RunPropagationModes(ifttt, counts.back());
 
   std::printf(
       "\nPaper reference: Q3 accuracies 0.869/0.879/0.882/0.873 for\n"

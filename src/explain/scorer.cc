@@ -97,20 +97,14 @@ void GnnGraphScorer::ScoreBatch(
   }
   if (miss.empty()) return;
 
-  // Evaluate the misses. The batched path needs sparse-mode prepared
-  // graphs; under a resolved dense propagation mode (or for a lone miss,
-  // where stacking buys nothing) fall back to sequential evaluation —
-  // both paths are bit-identical per ForwardBatch's contract.
+  // Evaluate the misses. A lone miss gains nothing from stacking, so it
+  // runs sequentially — both paths are bit-identical per ForwardBatch's
+  // contract.
   std::vector<double> vals(miss.size());
-  const PropagationMode mode =
-      ResolvePropagationMode(model_->config().propagation);
-  if (mode == PropagationMode::kDense || miss.size() == 1) {
-    for (size_t m = 0; m < miss.size(); ++m) {
-      vals[m] = EvaluateUncached(node_sets[miss[m]]);
-    }
+  if (miss.size() == 1) {
+    vals[0] = EvaluateUncached(node_sets[miss[0]]);
   } else {
-    GnnConfig batch_config = model_->config();
-    batch_config.propagation = PropagationMode::kSparse;
+    const GnnConfig& config = model_->config();
     std::vector<PreparedGraph> prepared;
     std::vector<const PreparedGraph*> ptrs;
     std::vector<size_t> batch_slot;  // index into vals per stacked graph
@@ -122,14 +116,14 @@ void GnnGraphScorer::ScoreBatch(
         continue;
       }
       prepared.push_back(
-          PrepareGraph(graph_->InducedSubgraph(nodes), batch_config));
+          PrepareGraph(graph_->InducedSubgraph(nodes), config));
       batch_slot.push_back(m);
     }
     ptrs.reserve(prepared.size());
     for (const PreparedGraph& p : prepared) ptrs.push_back(&p);
     if (!ptrs.empty()) {
       GraphBatch batch;
-      AssembleGraphBatch(ptrs, batch_config, &batch);
+      AssembleGraphBatch(ptrs, config, &batch);
       BatchForwardWorkspace ws;
       std::vector<std::vector<double>> embeddings;
       model_->ForwardBatch(batch, &ws, &embeddings);

@@ -71,10 +71,9 @@ class GnnGraphScorer {
   /// `GraphBatch` and run through `GnnModel::ForwardBatch` — bit-identical
   /// to sequential `Score` calls (ForwardBatch preserves each graph's
   /// accumulation order). Ragged input is fine: empty subsets take the
-  /// zero-embedding base score, single-element batches and the resolved
-  /// dense propagation mode fall back to the sequential path (the dense
-  /// engine has no block-diagonal kernel), and duplicate subsets within
-  /// the batch are evaluated once.
+  /// zero-embedding base score, single-element batches fall back to the
+  /// sequential path, and duplicate subsets within the batch are
+  /// evaluated once.
   void ScoreBatch(const std::vector<std::vector<int>>& node_sets,
                   std::vector<double>* scores) const;
 

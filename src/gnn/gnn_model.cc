@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
-#include "common/logging.h"
 #include "tensor/ops.h"
 
 namespace fexiot {
@@ -23,28 +20,13 @@ const char* GnnTypeName(GnnType type) {
   return "?";
 }
 
-PropagationMode ResolvePropagationMode(PropagationMode requested) {
-  if (requested != PropagationMode::kAuto) return requested;
-  static const PropagationMode from_env = [] {
-    const char* env = std::getenv("FEXIOT_PROPAGATION");
-    if (env == nullptr || std::strcmp(env, "sparse") == 0) {
-      return PropagationMode::kSparse;
-    }
-    if (std::strcmp(env, "dense") == 0) return PropagationMode::kDense;
-    FEXIOT_LOG(Warning) << "FEXIOT_PROPAGATION='" << env
-                        << "' not recognized (dense|sparse); using sparse";
-    return PropagationMode::kSparse;
-  }();
-  return from_env;
-}
-
 namespace {
 
 /// Builds the CSR propagation matrix straight from the edge list —
-/// O(n + e log e) instead of densifying an n x n matrix first. Values are
-/// bit-identical to the dense build: GCN degrees are exact small-integer
-/// doubles either way, and each entry is the one-rounding product
-/// dinv[i] * dinv[j] (GIN entries are exactly 1.0).
+/// O(n + e log e), never densifying an n x n matrix. Values are
+/// bit-identical to the dense build (tests/dense_oracle.h): GCN degrees
+/// are exact small-integer doubles either way, and each entry is the
+/// one-rounding product dinv[i] * dinv[j] (GIN entries are exactly 1.0).
 CsrMatrix BuildPropagationCsr(const InteractionGraph& g, bool gin) {
   const size_t n = static_cast<size_t>(g.num_nodes());
   // Undirected skeleton with self loops, deduplicated and column-sorted.
@@ -76,18 +58,6 @@ CsrMatrix BuildPropagationCsr(const InteractionGraph& g, bool gin) {
     }
   }
   return CsrMatrix::FromRowLists(n, n, rows);
-}
-
-/// P * H through whichever representation the prepared graph carries.
-/// Both paths accumulate each output element's terms in ascending source
-/// order and skip exact zeros, so they agree bit for bit at interaction-
-/// graph scales (docs/KERNELS.md §5).
-void Propagate(const PreparedGraph& g, const Matrix& h, Matrix* out) {
-  if (g.mode == PropagationMode::kSparse) {
-    SpMM(g.prop_csr, h, out);
-  } else {
-    MatMulInto(g.propagation, h, out);
-  }
 }
 
 /// [mean | max] pooling over rows [r0, r1) of \p hf into \p pooled
@@ -129,27 +99,9 @@ PreparedGraph PrepareGraph(const InteractionGraph& g,
   PreparedGraph p;
   p.num_nodes = g.num_nodes();
   p.label = g.label();
-  p.mode = ResolvePropagationMode(config.propagation);
   const size_t n = static_cast<size_t>(g.num_nodes());
-  const bool gin = config.type == GnnType::kGin;
   const bool magnn = config.type == GnnType::kMagnn;
-
-  // Propagation representation. Sparse mode never materializes the n x n
-  // matrix; dense mode reproduces the original build exactly.
-  if (p.mode == PropagationMode::kSparse) {
-    p.prop_csr = BuildPropagationCsr(g, gin);
-  } else if (gin) {
-    // S = (1 + eps) I + A over the undirected skeleton, eps = 0.
-    Matrix s(n, n);
-    for (size_t i = 0; i < n; ++i) s.At(i, i) = 1.0;
-    for (const auto& [u, v] : g.edges()) {
-      s.At(static_cast<size_t>(u), static_cast<size_t>(v)) = 1.0;
-      s.At(static_cast<size_t>(v), static_cast<size_t>(u)) = 1.0;
-    }
-    p.propagation = std::move(s);
-  } else {
-    p.propagation = g.NormalizedAdjacency();
-  }
+  p.prop_csr = BuildPropagationCsr(g, config.type == GnnType::kGin);
 
   // Feature matrices, one pass per node: pad/truncate into the word-space
   // row; sentence-space rows additionally land in `features_hetero`, which
@@ -276,7 +228,7 @@ const std::vector<double>& GnnModel::ForwardImpl(const PreparedGraph& g,
   }
 
   for (size_t l = first_mp; l < readout_index; ++l) {
-    Propagate(g, *h, &ws->m);
+    SpMM(g.prop_csr, *h, &ws->m);
     Matrix& z = cache.pre[l];
     MatMulInto(ws->m, layers_[l].params[0], &z);
     AddBiasRow(&z, layers_[l].params[1]);
@@ -322,14 +274,11 @@ void AssembleGraphBatch(const std::vector<const PreparedGraph*>& graphs,
   blocks.reserve(graphs.size());
   for (const PreparedGraph* g : graphs) {
     assert(g != nullptr && g->num_nodes > 0);
-    assert(g->mode == PropagationMode::kSparse &&
-           "batched inference requires sparse-mode prepared graphs");
     assert(g->features.cols() == static_cast<size_t>(config.input_dim));
     total += static_cast<size_t>(g->num_nodes);
     blocks.push_back(&g->prop_csr);
   }
   PreparedGraph& s = out->stacked;
-  s.mode = PropagationMode::kSparse;
   s.prop_csr = CsrMatrix::BlockDiagonal(blocks);
   s.num_nodes = static_cast<int>(total);
   s.label = 0;
@@ -388,7 +337,7 @@ void GnnModel::ForwardBatch(const GraphBatch& batch, BatchForwardWorkspace* ws,
     // column entries, so per-row bits match the per-graph SpMM. The dense
     // transform dispatches per block on the block's own shape so no graph
     // changes kernels by being batched.
-    Propagate(g, *h, &ws->m);
+    SpMM(g.prop_csr, *h, &ws->m);
     MatMulBlocksInto(ws->m, layers_[l].params[0], batch.row_offsets, &ws->z);
     AddBiasRow(&ws->z, layers_[l].params[1]);
     ReluInto(ws->z, &ws->h);
@@ -445,7 +394,7 @@ void GnnModel::Backward(const ForwardCache& cache,
   for (size_t l = readout_index; l-- > first_mp;) {
     ReluBackwardInto(ws->dh, cache.pre[l], &ws->dz);
     const Matrix& h_in = LayerInput(cache, l);
-    Propagate(g, h_in, &ws->m);
+    SpMM(g.prop_csr, h_in, &ws->m);
     MatMulTransAInto(ws->m, ws->dz, &ws->gw);
     layers_[l].grads[0] += ws->gw;
     ColumnSumInto(ws->dz, &ws->gb);
@@ -453,7 +402,7 @@ void GnnModel::Backward(const ForwardCache& cache,
     if (l > first_mp || config_.type == GnnType::kMagnn) {
       // Propagation matrices are symmetric: dH_in = P (dZ W^T).
       MatMulTransBInto(ws->dz, layers_[l].params[0], &ws->tmp);
-      Propagate(g, ws->tmp, &ws->dh);
+      SpMM(g.prop_csr, ws->tmp, &ws->dh);
     }
   }
 

@@ -20,24 +20,6 @@ enum class GnnType {
 
 const char* GnnTypeName(GnnType type);
 
-/// \brief Storage/kernel choice for the propagation matrix.
-///
-/// Interaction graphs average a handful of edges per node, so the sparse
-/// representation turns each propagation product from O(n^2 d) into
-/// O(nnz d) and drops the O(n^2) dense matrix from every PreparedGraph.
-/// Both paths produce bit-identical results on interaction-graph scales
-/// (docs/KERNELS.md §5); kDense remains as the A/B baseline and fallback.
-enum class PropagationMode {
-  kAuto,    ///< follow FEXIOT_PROPAGATION (=dense|sparse); default sparse
-  kDense,   ///< n x n dense matrix, products via MatMul
-  kSparse,  ///< CSR matrix, products via SpMM
-};
-
-/// \brief Resolves kAuto against the FEXIOT_PROPAGATION environment
-/// variable (parsed once per process; unknown values warn and fall back
-/// to sparse). Non-auto requests pass through untouched.
-PropagationMode ResolvePropagationMode(PropagationMode requested);
-
 /// \brief Model hyperparameters.
 struct GnnConfig {
   GnnType type = GnnType::kGcn;
@@ -51,14 +33,16 @@ struct GnnConfig {
   /// Final graph-embedding dimensionality (readout projection output).
   int embedding_dim = 16;
   uint64_t seed = 47;
-  /// Propagation representation (a runtime knob, not a model parameter:
-  /// excluded from serialization, and results do not depend on it).
-  PropagationMode propagation = PropagationMode::kAuto;
 };
 
-/// \brief A graph pre-processed for GNN consumption: cached propagation
-/// representation + stacked features. Build once per dataset, reuse every
-/// epoch.
+/// \brief A graph pre-processed for GNN consumption: the propagation
+/// matrix in CSR form + stacked features. Build once per dataset, reuse
+/// every epoch.
+///
+/// Interaction graphs average a handful of edges per node, so every
+/// propagation product is an O(nnz d) SpMM and no O(n^2) dense matrix is
+/// held (docs/KERNELS.md §5). The dense construction survives only as
+/// the test oracle in tests/dense_oracle.h.
 ///
 /// Feature padding contract: each node's feature vector is copied into
 /// its `features` row in one pass — truncated to input_dim when longer
@@ -69,33 +53,16 @@ struct GnnConfig {
 /// stays empty — InputProjection is the only consumer.
 struct PreparedGraph {
   Matrix features;    ///< n x input_dim (homogeneous part)
-  /// Resolved propagation representation: exactly one of the two members
-  /// below is populated, per `mode`.
-  PropagationMode mode = PropagationMode::kSparse;
-  Matrix propagation;   ///< n x n, kDense mode only (empty otherwise)
-  CsrMatrix prop_csr;   ///< CSR form, kSparse mode only
+  CsrMatrix prop_csr;  ///< n x n propagation matrix
   /// Per-node space id (0 = word space, 1 = sentence space).
   std::vector<int> node_space;
   Matrix features_hetero;  ///< n x hetero_input_dim, MAGNN configs only
   int label = 0;
   int num_nodes = 0;
-
-  /// Densified propagation matrix regardless of mode (testing /
-  /// diagnostics; an exact representation change, no rounding).
-  Matrix DensePropagation() const {
-    return mode == PropagationMode::kDense ? propagation : prop_csr.ToDense();
-  }
-  /// Steady-state bytes held by the propagation representation.
-  size_t PropagationBytes() const {
-    return mode == PropagationMode::kDense
-               ? propagation.size() * sizeof(double)
-               : prop_csr.MemoryBytes();
-  }
 };
 
-/// \brief Prepares a graph for \p config (computes the propagation
-/// representation appropriate to the architecture and resolved mode, and
-/// splits features by space).
+/// \brief Prepares a graph for \p config (builds the propagation matrix
+/// appropriate to the architecture and splits features by space).
 PreparedGraph PrepareGraph(const InteractionGraph& g, const GnnConfig& config);
 
 /// \brief Activation/pre-activation caches recorded by a forward pass,
@@ -146,8 +113,7 @@ struct GraphBatch {
 };
 
 /// \brief Assembles \p graphs into \p out for ForwardBatch. All graphs
-/// must be sparse-mode (the serving engine's mode), non-empty, and
-/// prepared under the same \p config. \p out's buffers are reused across
+/// must be non-empty and prepared under the same \p config. \p out's buffers are reused across
 /// calls — after warmup, assembly performs no heap allocation beyond the
 /// CSR concatenation.
 void AssembleGraphBatch(const std::vector<const PreparedGraph*>& graphs,

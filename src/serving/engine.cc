@@ -51,9 +51,6 @@ StreamingDetectionEngine::StreamingDetectionEngine(const GnnModel* model,
     : model_(model), config_(config), gnn_config_(model->config()) {
   assert(model_ != nullptr);
   assert(ValidateServingConfig(config_).ok());
-  // The batched path stacks CSRs block-diagonally, so every prepared
-  // graph must be sparse regardless of the ambient propagation knob.
-  gnn_config_.propagation = PropagationMode::kSparse;
 }
 
 StreamingDetectionEngine::HomeState* StreamingDetectionEngine::Find(

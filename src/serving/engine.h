@@ -91,9 +91,7 @@ struct DetectionResult {
 /// process pool.
 class StreamingDetectionEngine {
  public:
-  /// \p model must outlive the engine. The engine prepares graphs in
-  /// sparse mode regardless of the model config's propagation knob (the
-  /// batched path stacks CSRs).
+  /// \p model must outlive the engine.
   StreamingDetectionEngine(const GnnModel* model, const ServingConfig& config);
 
   /// \brief Registers a home. All of its rules become (isolated) graph
@@ -201,7 +199,7 @@ class StreamingDetectionEngine {
 
   const GnnModel* model_;
   ServingConfig config_;
-  GnnConfig gnn_config_;  ///< model config with propagation forced sparse
+  GnnConfig gnn_config_;  ///< the model's config
   std::unordered_map<int, size_t> home_index_;
   std::deque<HomeState> homes_;  ///< stable addresses under growth
 

@@ -190,32 +190,5 @@ bool WriteGoldenJson(const std::string& path, const StatsMap& stats,
   return true;
 }
 
-/// Writes observed values only (no tolerances) — the artifact CI diffs
-/// between FEXIOT_THREADS=1 and FEXIOT_THREADS=N runs. Fingerprints ride
-/// along so the diff also proves bit-identity, not just equal statistics.
-inline bool WriteObservedJson(const std::string& path, const StatsMap& stats,
-                              uint64_t dataset_fingerprint,
-                              uint64_t federated_fingerprint) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "{\n  \"observed\": \"corpus-golden-stats\",\n";
-  char fp[96];
-  std::snprintf(fp, sizeof(fp),
-                "  \"dataset_fingerprint\": \"%016llx\",\n"
-                "  \"federated_fingerprint\": \"%016llx\",\n",
-                static_cast<unsigned long long>(dataset_fingerprint),
-                static_cast<unsigned long long>(federated_fingerprint));
-  out << fp << "  \"stats\": {\n";
-  size_t i = 0;
-  for (const auto& [name, value] : stats) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), "    \"%s\": [%.9g, 0]%s\n", name.c_str(),
-                  value, ++i < stats.size() ? "," : "");
-    out << buf;
-  }
-  out << "  }\n}\n";
-  return true;
-}
-
 }  // namespace golden
 }  // namespace fexiot

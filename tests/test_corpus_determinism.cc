@@ -19,10 +19,6 @@
 //     tolerances. Regenerate after an intentional content change with
 //       FEXIOT_UPDATE_GOLDEN=1 ./test_corpus_determinism
 //     (run from anywhere; the path is baked in at compile time).
-//
-// FEXIOT_STATS_OUT=<path> additionally dumps observed stats +
-// fingerprints; CI diffs that artifact between FEXIOT_THREADS=1 and
-// FEXIOT_THREADS=4 runs.
 
 #include <gtest/gtest.h>
 
@@ -89,38 +85,13 @@ double ToleranceFor(const std::string& name) {
   return 0.06;  // fractions: label balance, type histogram, platform mix
 }
 
-struct GoldenRun {
-  golden::StatsMap stats;
-  uint64_t dataset_fingerprint = 0;
-  uint64_t federated_fingerprint = 0;
-};
-
-const GoldenRun& PinnedRun() {
-  static const GoldenRun run = [] {
-    GoldenRun r;
-    const auto graphs = GenerateGoldenDataset();
-    const FederatedCorpus fed = GenerateGoldenFederatedCorpus();
-    r.stats = golden::ComputeGoldenStats(graphs);
-    golden::AddFederatedStats(fed, &r.stats);
-    r.dataset_fingerprint = golden::CorpusFingerprint(graphs);
-    r.federated_fingerprint = golden::FederatedCorpusFingerprint(fed);
-    return r;
-  }();
-  return run;
-}
-
 TEST(GoldenStats, MatchesCheckedInBaseline) {
-  const GoldenRun& run = PinnedRun();
-
-  if (const char* out = std::getenv("FEXIOT_STATS_OUT")) {
-    ASSERT_TRUE(golden::WriteObservedJson(out, run.stats,
-                                          run.dataset_fingerprint,
-                                          run.federated_fingerprint));
-  }
+  const auto graphs = GenerateGoldenDataset();
+  golden::StatsMap stats = golden::ComputeGoldenStats(graphs);
+  golden::AddFederatedStats(GenerateGoldenFederatedCorpus(), &stats);
   if (const char* update = std::getenv("FEXIOT_UPDATE_GOLDEN")) {
     if (std::string(update) == "1") {
-      ASSERT_TRUE(golden::WriteGoldenJson(GoldenPath(), run.stats,
-                                          ToleranceFor));
+      ASSERT_TRUE(golden::WriteGoldenJson(GoldenPath(), stats, ToleranceFor));
       GTEST_SKIP() << "golden baseline regenerated at " << GoldenPath();
     }
   }
@@ -132,12 +103,12 @@ TEST(GoldenStats, MatchesCheckedInBaseline) {
   // Every baseline key must be observed and within tolerance; every
   // observed key must be pinned (no silently-untracked statistics).
   for (const auto& [name, entry] : baseline) {
-    auto it = run.stats.find(name);
-    ASSERT_NE(it, run.stats.end()) << "baseline key not observed: " << name;
+    auto it = stats.find(name);
+    ASSERT_NE(it, stats.end()) << "baseline key not observed: " << name;
     EXPECT_NEAR(it->second, entry.value, entry.tolerance + 1e-12)
         << "golden statistic drifted: " << name;
   }
-  for (const auto& [name, value] : run.stats) {
+  for (const auto& [name, value] : stats) {
     EXPECT_TRUE(baseline.count(name))
         << "observed statistic not pinned in baseline: " << name << " = "
         << value << " — regenerate with FEXIOT_UPDATE_GOLDEN=1";

@@ -285,7 +285,7 @@ TEST(PrepareGraph, GinPropagationHasSelfAndNeighbors) {
   GnnConfig c = SmallConfig(GnnType::kGin);
   const InteractionGraph g = ShrinkFeatures(TinyGraph(3, 1), c);
   const PreparedGraph p = PrepareGraph(g, c);
-  const Matrix prop = p.DensePropagation();
+  const Matrix prop = p.prop_csr.ToDense();
   EXPECT_DOUBLE_EQ(prop.At(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(prop.At(0, 1), 1.0);  // edge 0-1
 }
@@ -294,7 +294,7 @@ TEST(PrepareGraph, GcnPropagationRowsNormalized) {
   GnnConfig c = SmallConfig(GnnType::kGcn);
   const InteractionGraph g = ShrinkFeatures(TinyGraph(4, 2), c);
   const PreparedGraph p = PrepareGraph(g, c);
-  const Matrix prop = p.DensePropagation();
+  const Matrix prop = p.prop_csr.ToDense();
   // Symmetric normalization: eigenvalue bound => entries in [0, 1].
   for (size_t i = 0; i < prop.size(); ++i) {
     EXPECT_GE(prop.data()[i], 0.0);

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -723,24 +725,27 @@ TEST(FederatedSimulatorRuntime, FaultyRunIsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(r1.digest, r4.digest);
 }
 
-// CI hook (ci/run_tests.sh stage "runtime thread-count parity"): when
-// FEXIOT_TRACE_OUT is set, dump the event trace + result digest of the
-// faulty run under the ambient FEXIOT_THREADS so two processes with
-// different thread counts can be diffed byte-for-byte.
-TEST(RuntimeParity, WritesTraceArtifact) {
-  const char* out = std::getenv("FEXIOT_TRACE_OUT");
-  if (!out) GTEST_SKIP() << "FEXIOT_TRACE_OUT not set";
-  int threads = 0;
-  if (const char* env = std::getenv("FEXIOT_THREADS")) threads = std::atoi(env);
-  const ParityRun run = RunFaultyWithThreads(threads > 0 ? threads : 1);
-  std::FILE* f = std::fopen(out, "wb");
-  ASSERT_NE(f, nullptr) << "cannot open " << out;
-  for (const std::string& line : run.trace) {
-    std::fputs(line.c_str(), f);
-    std::fputc('\n', f);
+// The fp64 default must reproduce the committed seed golden byte for
+// byte: the faulty run's event trace (one line per event) followed by its
+// hexfloat result digest. Wire codecs, the propagation engine and the
+// runtime policies all landed without moving it.
+TEST(FederatedSimulatorRuntime, Fp64FaultyRunMatchesCommittedSeedGolden) {
+  const ParityRun run = RunFaultyWithThreads(1);
+  std::vector<std::string> observed = run.trace;
+  std::istringstream digest(run.digest);
+  for (std::string line; std::getline(digest, line);) observed.push_back(line);
+
+  const char* path = FEXIOT_SOURCE_DIR "/tests/golden/runtime_trace_seed.txt";
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "missing golden " << path;
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(in, line);) golden.push_back(line);
+
+  const size_t n = std::min(observed.size(), golden.size());
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(observed[i], golden[i]) << "first drift at golden line " << i + 1;
   }
-  std::fputs(run.digest.c_str(), f);
-  std::fclose(f);
+  EXPECT_EQ(observed.size(), golden.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -815,6 +820,7 @@ TEST(FederatedSimulatorRuntime, Int8CodecShrinksWireBytesAndSimTime) {
 
 TEST(FederatedSimulatorRuntime,
      LossyCodecRunsAreBitIdenticalAcrossThreadCounts) {
+  const ParityRun fp64 = RunFaultyWithThreads(1);
   for (WireCodec codec :
        {WireCodec::kFp32, WireCodec::kBf16, WireCodec::kInt8}) {
     const ParityRun r1 = RunFaultyWithThreads(1, codec);
@@ -822,31 +828,9 @@ TEST(FederatedSimulatorRuntime,
     ASSERT_FALSE(r1.trace.empty()) << WireCodecName(codec);
     EXPECT_EQ(r1.trace, r4.trace) << WireCodecName(codec);
     EXPECT_EQ(r1.digest, r4.digest) << WireCodecName(codec);
+    // Liveness: a codec that changed nothing would pass parity vacuously.
+    EXPECT_NE(r1.digest, fp64.digest) << WireCodecName(codec);
   }
-}
-
-// CI hook (ci/run_tests.sh stage "wire codec parity"): when
-// FEXIOT_CODEC_TRACE_OUT is set, dump the faulty run's trace + digest
-// under the codec named by FEXIOT_CODEC and the ambient FEXIOT_THREADS,
-// so per-codec runs with different thread counts diff byte-for-byte.
-TEST(CodecParity, WritesTraceArtifact) {
-  const char* out = std::getenv("FEXIOT_CODEC_TRACE_OUT");
-  if (!out) GTEST_SKIP() << "FEXIOT_CODEC_TRACE_OUT not set";
-  const char* name = std::getenv("FEXIOT_CODEC");
-  ASSERT_NE(name, nullptr) << "FEXIOT_CODEC not set";
-  const Result<WireCodec> codec = ParseWireCodec(name);
-  ASSERT_TRUE(codec.ok()) << codec.status().ToString();
-  int threads = 0;
-  if (const char* env = std::getenv("FEXIOT_THREADS")) threads = std::atoi(env);
-  const ParityRun run = RunFaultyWithThreads(threads > 0 ? threads : 1, *codec);
-  std::FILE* f = std::fopen(out, "wb");
-  ASSERT_NE(f, nullptr) << "cannot open " << out;
-  for (const std::string& line : run.trace) {
-    std::fputs(line.c_str(), f);
-    std::fputc('\n', f);
-  }
-  std::fputs(run.digest.c_str(), f);
-  std::fclose(f);
 }
 
 // ---------------------------------------------------------------------------
@@ -1152,30 +1136,6 @@ TEST(FederatedSimulatorRuntime, AsyncSeedSweepStaysDeterministic) {
   EXPECT_NE(digests[0], digests[1]);
 }
 
-// CI hook (ci/run_tests.sh stage "async-policy thread-count parity"): when
-// FEXIOT_ASYNC_TRACE_OUT is set, dump the event traces + result digests of
-// both async policies under the ambient FEXIOT_THREADS so two processes
-// with different thread counts can be diffed byte-for-byte.
-TEST(AsyncRuntimeParity, WritesTraceArtifact) {
-  const char* out = std::getenv("FEXIOT_ASYNC_TRACE_OUT");
-  if (!out) GTEST_SKIP() << "FEXIOT_ASYNC_TRACE_OUT not set";
-  int threads = 0;
-  if (const char* env = std::getenv("FEXIOT_THREADS")) threads = std::atoi(env);
-  std::FILE* f = std::fopen(out, "wb");
-  ASSERT_NE(f, nullptr) << "cannot open " << out;
-  for (RoundPolicy policy : {RoundPolicy::kAsync, RoundPolicy::kSemiAsync}) {
-    const ParityRun run =
-        RunAsyncWithThreads(policy, threads > 0 ? threads : 1, 0);
-    std::fprintf(f, "== policy %s ==\n", RoundPolicyName(policy));
-    for (const std::string& line : run.trace) {
-      std::fputs(line.c_str(), f);
-      std::fputc('\n', f);
-    }
-    std::fputs(run.digest.c_str(), f);
-  }
-  std::fclose(f);
-}
-
 // ---------------------------------------------------------------------------
 // Hierarchical aggregation topology
 // ---------------------------------------------------------------------------
@@ -1384,26 +1344,6 @@ TEST(FederatedSimulatorRuntime, TreeRunIsBitIdenticalAcrossThreadCounts) {
   ASSERT_FALSE(r1.trace.empty());
   EXPECT_EQ(r1.trace, r4.trace);
   EXPECT_EQ(r1.digest, r4.digest);
-}
-
-// CI hook (ci/run_tests.sh stage "runtime thread-count parity"): when
-// FEXIOT_TREE_TRACE_OUT is set, dump the event trace + result digest of
-// the tree-topology run under the ambient FEXIOT_THREADS so two processes
-// with different thread counts can be diffed byte-for-byte.
-TEST(TreeRuntimeParity, WritesTraceArtifact) {
-  const char* out = std::getenv("FEXIOT_TREE_TRACE_OUT");
-  if (!out) GTEST_SKIP() << "FEXIOT_TREE_TRACE_OUT not set";
-  int threads = 0;
-  if (const char* env = std::getenv("FEXIOT_THREADS")) threads = std::atoi(env);
-  const ParityRun run = RunTreeWithThreads(threads > 0 ? threads : 1);
-  std::FILE* f = std::fopen(out, "wb");
-  ASSERT_NE(f, nullptr) << "cannot open " << out;
-  for (const std::string& line : run.trace) {
-    std::fputs(line.c_str(), f);
-    std::fputc('\n', f);
-  }
-  std::fputs(run.digest.c_str(), f);
-  std::fclose(f);
 }
 
 }  // namespace

@@ -211,7 +211,6 @@ void RunDeltaChurn(GnnType type, uint64_t seed) {
   const int n = 24;
   GnnConfig gc;
   gc.type = type;
-  gc.propagation = PropagationMode::kSparse;
   InteractionGraph g;
   Rng rng(seed);
   for (int i = 0; i < n; ++i) {
@@ -309,7 +308,6 @@ void CheckForwardBatchMatchesForward(GnnType type,
   ASSERT_GE(graphs.size(), 3u);
   GnnConfig gc;
   gc.type = type;
-  gc.propagation = PropagationMode::kSparse;
   const GnnModel model(gc);
   std::vector<PreparedGraph> prepared;
   prepared.reserve(graphs.size());
@@ -671,7 +669,7 @@ TEST(ServingEngine, RejectsBadInputs) {
 }
 
 // ---------------------------------------------------------------------------
-// Thread-count parity & digest artifact (CI stage 11)
+// Thread-count parity
 // ---------------------------------------------------------------------------
 
 std::string ResultDigestLine(const DetectionResult& r) {
@@ -711,28 +709,8 @@ TEST(ServingEngine, ThreadCountParity) {
   EXPECT_EQ(SortedResultDigest(r1), SortedResultDigest(r4));
 }
 
-TEST(ServingDigest, WritesDigestArtifact) {
-  const char* path = std::getenv("FEXIOT_SERVING_DIGEST_OUT");
-  if (path == nullptr) {
-    GTEST_SKIP() << "set FEXIOT_SERVING_DIGEST_OUT to write the digest";
-  }
-  int max_batch = 8;
-  if (const char* b = std::getenv("FEXIOT_SERVING_BATCH")) {
-    max_batch = std::atoi(b);
-  }
-  ASSERT_GE(max_batch, 1);
-  const std::vector<DetectionResult> results =
-      RunScenario(max_batch, false, nullptr);
-  ASSERT_FALSE(results.empty());
-  FILE* f = std::fopen(path, "w");
-  ASSERT_NE(f, nullptr) << "cannot open " << path;
-  const std::string digest = SortedResultDigest(results);
-  std::fputs(digest.c_str(), f);
-  std::fclose(f);
-}
-
 // ---------------------------------------------------------------------------
-// Seeded Poisson soak (CI stage 11)
+// Seeded Poisson soak (ci/run_tests.sh, FEXIOT_SERVING_SOAK=1)
 // ---------------------------------------------------------------------------
 
 TEST(ServingSoak, PoissonLoadMeetsLatencyBound) {

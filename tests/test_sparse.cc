@@ -5,7 +5,7 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "federated/fl_simulator.h"
+#include "dense_oracle.h"
 #include "gnn/trainer.h"
 #include "graph/corpus.h"
 #include "tensor/ops.h"
@@ -188,7 +188,8 @@ TEST(SpMM, BitIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Propagation-mode plumbing through PrepareGraph and the GNN.
+// PrepareGraph and the GNN against the dense test oracle
+// (tests/dense_oracle.h).
 
 InteractionGraph ChainGraph(int n, uint64_t seed) {
   Rng rng(seed);
@@ -211,17 +212,10 @@ TEST(PrepareGraphModes, SparseCsrMatchesDenseMatrixExactly) {
     GnnConfig c;
     c.type = type;
     const InteractionGraph g = ChainGraph(9, 5);
-    c.propagation = PropagationMode::kDense;
-    const PreparedGraph pd = PrepareGraph(g, c);
-    c.propagation = PropagationMode::kSparse;
     const PreparedGraph ps = PrepareGraph(g, c);
-    ASSERT_EQ(pd.mode, PropagationMode::kDense);
-    ASSERT_EQ(ps.mode, PropagationMode::kSparse);
-    EXPECT_EQ(pd.prop_csr.nnz(), 0u);
-    EXPECT_EQ(ps.propagation.size(), 0u);
-    ExpectBitEqual(ps.DensePropagation(), pd.propagation,
-                   GnnTypeName(type));
-    EXPECT_LT(ps.PropagationBytes(), pd.PropagationBytes());
+    const Matrix dense = testing::DensePropagationOracle(g, type);
+    ExpectBitEqual(ps.prop_csr.ToDense(), dense, GnnTypeName(type));
+    EXPECT_LT(ps.prop_csr.MemoryBytes(), dense.size() * sizeof(double));
   }
 }
 
@@ -232,10 +226,9 @@ TEST(PrepareGraphModes, SingleNodeAndSelfLoopOnlyGraphs) {
     // Single node, no edges: propagation is the 1 x 1 self-loop.
     {
       const InteractionGraph g = ChainGraph(1, 7);
-      c.propagation = PropagationMode::kSparse;
       const PreparedGraph p = PrepareGraph(g, c);
       EXPECT_EQ(p.prop_csr.nnz(), 1u);
-      EXPECT_EQ(p.DensePropagation().At(0, 0), 1.0);
+      EXPECT_EQ(p.prop_csr.ToDense().At(0, 0), 1.0);
     }
     // Edgeless multi-node graph: self loops only (GCN degree 1 => value 1).
     {
@@ -247,12 +240,10 @@ TEST(PrepareGraphModes, SingleNodeAndSelfLoopOnlyGraphs) {
             static_cast<size_t>(PlatformFeatureDim(Platform::kIfttt)));
         g.AddNode(std::move(node));
       }
-      c.propagation = PropagationMode::kDense;
-      const PreparedGraph pd = PrepareGraph(g, c);
-      c.propagation = PropagationMode::kSparse;
       const PreparedGraph ps = PrepareGraph(g, c);
       EXPECT_EQ(ps.prop_csr.nnz(), 3u);
-      ExpectBitEqual(ps.DensePropagation(), pd.propagation, "self loops");
+      ExpectBitEqual(ps.prop_csr.ToDense(),
+                     testing::DensePropagationOracle(g, type), "self loops");
     }
   }
 }
@@ -265,11 +256,8 @@ TEST(PrepareGraphModes, ForwardIsBitIdenticalAcrossModes) {
     c.embedding_dim = 6;
     GnnModel model(c);
     const InteractionGraph g = ChainGraph(11, 13);
-    c.propagation = PropagationMode::kDense;
-    const PreparedGraph pd = PrepareGraph(g, c);
-    c.propagation = PropagationMode::kSparse;
     const PreparedGraph ps = PrepareGraph(g, c);
-    const std::vector<double> zd = model.Forward(pd, nullptr);
+    const std::vector<double> zd = testing::DenseForwardOracle(model, g, ps);
     const std::vector<double> zs = model.Forward(ps, nullptr);
     ASSERT_EQ(zd.size(), zs.size());
     for (size_t i = 0; i < zd.size(); ++i) {
@@ -314,55 +302,13 @@ TEST(PrepareGraphModes, WorkspaceBackwardMatchesAllocatingBackward) {
   }
 }
 
-// End-to-end: a full federated run must be bit-identical between the dense
-// and sparse propagation engines (same corpus, same seeds, same rounds).
-TEST(PrepareGraphModes, FederatedRunBitIdenticalDenseVsSparse) {
-  Rng rng(42);
-  CorpusOptions opt;
-  opt.platforms = {Platform::kIfttt};
-  opt.min_nodes = 3;
-  opt.max_nodes = 8;
-  opt.vulnerable_fraction = 0.4;
-  const FederatedCorpus corpus =
-      BuildClusteredFederatedCorpus(opt, 80, 4, 2, 1.0, 0.6, &rng);
-
-  auto run_with_mode = [&](PropagationMode mode) {
-    GnnConfig gc;
-    gc.type = GnnType::kGin;
-    gc.hidden_dim = 8;
-    gc.embedding_dim = 8;
-    gc.propagation = mode;
-    FlConfig fc;
-    fc.num_rounds = 2;
-    fc.local.epochs = 1;
-    fc.local.learning_rate = 0.02;
-    fc.local.margin = 3.0;
-    fc.min_cluster_size = 2;
-    FederatedSimulator sim(gc, fc);
-    sim.SetupClients(corpus.data, corpus.partition, corpus.cluster_tests);
-    return sim.Run(FlAlgorithm::kFexiot).value();
-  };
-  const FlResult rd = run_with_mode(PropagationMode::kDense);
-  const FlResult rs = run_with_mode(PropagationMode::kSparse);
-  EXPECT_EQ(rd.mean.accuracy, rs.mean.accuracy);
-  EXPECT_EQ(rd.mean.f1, rs.mean.f1);
-  EXPECT_EQ(rd.accuracy_std, rs.accuracy_std);
-  EXPECT_EQ(rd.client_cluster, rs.client_cluster);
-  ASSERT_EQ(rd.client_metrics.size(), rs.client_metrics.size());
-  for (size_t i = 0; i < rd.client_metrics.size(); ++i) {
-    EXPECT_EQ(rd.client_metrics[i].accuracy, rs.client_metrics[i].accuracy);
-    EXPECT_EQ(rd.client_metrics[i].f1, rs.client_metrics[i].f1);
-  }
-}
-
 TEST(PrepareGraphModes, TrainerIsBitIdenticalAcrossThreadCounts) {
-  // The reworked per-shard-workspace trainer must preserve the thread-
-  // count determinism contract under the sparse engine.
+  // The per-shard-workspace trainer must preserve the thread-count
+  // determinism contract.
   GnnConfig gc;
   gc.type = GnnType::kGcn;
   gc.hidden_dim = 8;
   gc.embedding_dim = 6;
-  gc.propagation = PropagationMode::kSparse;
   std::vector<InteractionGraph> graphs;
   for (int i = 0; i < 24; ++i) {
     InteractionGraph g = ChainGraph(4 + i % 5, 200 + static_cast<uint64_t>(i));
