@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/hash.h"
 #include "common/parallel.h"
 #include "explain/explainer.h"
 #include "gnn/trainer.h"
@@ -31,23 +32,6 @@ using namespace fexiot;
 using namespace fexiot::bench;
 
 namespace {
-
-/// FNV-1a over 64-bit words — fingerprints a run's every decision bit.
-struct Digest {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  void Mix(uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  void MixDouble(double d) {
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(d), "");
-    __builtin_memcpy(&bits, &d, sizeof(bits));
-    Mix(bits);
-  }
-};
 
 struct ExplainRecord {
   std::string mode;
@@ -72,7 +56,7 @@ ExplainRecord RunConfig(const std::vector<InteractionGraph>& graphs,
   rec.threads = threads;
   sopt.reuse_rewards = engine;
   parallel::SetThreads(threads);
-  Digest digest;
+  Fnv1a digest;  // fingerprints every decision bit of the run
   Stopwatch watch;
   for (size_t e = 0; e < graphs.size(); ++e) {
     for (int kind = 0; kind < 3; ++kind) {
@@ -89,13 +73,13 @@ ExplainRecord RunConfig(const std::vector<InteractionGraph>& graphs,
       const ExplanationResult res = ex->Explain(scorer, &rng);
       const FidelitySparsity fs =
           EvaluateExplanation(scorer, res.subgraph_nodes);
-      digest.Mix(res.subgraph_nodes.size());
+      digest.U64(res.subgraph_nodes.size());
       for (int v : res.subgraph_nodes) {
-        digest.Mix(static_cast<uint64_t>(static_cast<uint32_t>(v)));
+        digest.U64(static_cast<uint32_t>(v));
       }
-      digest.MixDouble(res.score);
-      digest.MixDouble(fs.fidelity);
-      digest.MixDouble(fs.sparsity);
+      digest.Double(res.score);
+      digest.Double(fs.fidelity);
+      digest.Double(fs.sparsity);
       rec.model_evals += scorer.evaluations();
       rec.tt_hits += res.tt_hits;
       rec.score_memo_hits += scorer.memo_hits();
@@ -104,7 +88,7 @@ ExplainRecord RunConfig(const std::vector<InteractionGraph>& graphs,
   }
   rec.wall_seconds = watch.ElapsedSeconds();
   rec.reward_lookups = rec.tt_hits + rec.subgraphs_scored;
-  rec.digest = digest.h;
+  rec.digest = digest.digest();
   parallel::SetThreads(0);
   return rec;
 }

@@ -38,7 +38,7 @@ struct ScaleRecord {
 ScaleFlConfig ConfigFor(uint64_t clients) {
   ScaleFlConfig cfg;
   cfg.num_clients = clients;
-  cfg.sample_per_round = 64;
+  cfg.runtime.clients_per_round = 64;
   cfg.num_rounds = Scaled(2);
   cfg.client.corpus.platforms = {Platform::kIfttt};
   cfg.client.corpus.min_nodes = 3;
@@ -51,12 +51,12 @@ ScaleFlConfig ConfigFor(uint64_t clients) {
   cfg.client.model.embedding_dim = 8;
   cfg.train.epochs = 1;
   cfg.train.learning_rate = 0.02;
-  cfg.topology.edge_fanout = 64;
-  cfg.topology.regional_fanout = 16;
-  cfg.topology.edge_up.latency_s = 0.05;
-  cfg.topology.regional_up.latency_s = 0.02;
-  cfg.up_link.latency_s = 0.1;
-  cfg.up_link.loss_prob = 0.05;
+  cfg.runtime.topology.edge_fanout = 64;
+  cfg.runtime.topology.regional_fanout = 16;
+  cfg.runtime.topology.edge_up.latency_s = 0.05;
+  cfg.runtime.topology.regional_up.latency_s = 0.02;
+  cfg.runtime.default_up.latency_s = 0.1;
+  cfg.runtime.default_up.loss_prob = 0.05;
   return cfg;
 }
 
@@ -65,7 +65,7 @@ ScaleRecord RunOne(uint64_t clients) {
   const ScaleFlResult res = ScaleSimulator(cfg).Run().value();
   ScaleRecord rec;
   rec.clients = clients;
-  rec.sample_per_round = cfg.sample_per_round;
+  rec.sample_per_round = cfg.runtime.clients_per_round;
   rec.rounds = cfg.num_rounds;
   for (const ScaleRoundStats& r : res.rounds) rec.delivered += r.delivered;
   rec.events = res.total_events;
@@ -88,7 +88,7 @@ bool WriteJson(const std::string& path,
     return false;
   }
   std::fprintf(f, "{\n  \"bench\": \"scale\",\n");
-  std::fprintf(f, "  \"version\": 1,\n");
+  std::fprintf(f, "  \"version\": 2,\n");
   std::fprintf(f, "  \"sweep\": \"num_clients x peak_rss x events_per_sec\",\n");
   std::fprintf(f, "  \"host_cpus\": %u,\n",
                std::thread::hardware_concurrency());

@@ -9,12 +9,14 @@
 #  - a GEMM ISA-dispatch sweep: test_kernels under each FEXIOT_ISA tier
 #    (unsupported tiers degrade to the widest available one, so the sweep
 #    is safe on any host);
-#  - a 100k-client lazy-state scale smoke with an RSS ceiling;
+#  - the lazy-state scale smokes on the event runtime: 100k clients with
+#    an RSS ceiling, and 1M clients on a 4-thread pool whose peak RSS must
+#    stay below 32 MB (the runtime allocates by the cohort, not the fleet);
 #  - a seeded Poisson serving soak against a p99 latency bound;
 #  - a ThreadSanitizer pass over the concurrency-bearing binaries (thread
 #    pool / parallel facade / blocked GEMM incl. parallel PackB and pack
 #    reuse / SpMM row fan-out / corpus fan-out / federated rounds incl.
-#    the async policies / lazy-state scale simulator / batched serving
+#    the async policies / lazy-state scale driver / batched serving
 #    inference / parallel explanation search with its shared score memo).
 #
 # Usage: ci/run_tests.sh [build-dir] [tsan-build-dir]
@@ -40,10 +42,10 @@ for isa in scalar avx2 avx512; do
 done
 echo "    kernel parity holds under every FEXIOT_ISA tier"
 
-echo "==> [4/6] scale smoke (100k clients, lazy state, RSS ceiling)"
+echo "==> [4/6] scale smoke (100k and 1M clients on the runtime, RSS bounds)"
 FEXIOT_SLOW_TESTS=1 "${BUILD_DIR}/tests/test_scale" \
   --gtest_filter='ScaleSmoke.*' --gtest_brief=1
-echo "    100k-client sampled round fits the lazy-state RSS ceiling"
+echo "    100k- and 1M-client sampled rounds stay within their RSS bounds"
 
 echo "==> [5/6] serving soak (seeded Poisson load, p99 bound)"
 FEXIOT_SERVING_SOAK=1 "${BUILD_DIR}/tests/test_serving" \

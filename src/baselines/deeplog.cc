@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/string_util.h"
+#include "common/hash.h"
 #include "ml/isolation_forest.h"
 
 namespace fexiot {

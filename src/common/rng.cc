@@ -1,8 +1,10 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numeric>
+#include <unordered_set>
 
 namespace fexiot {
 namespace {
@@ -137,6 +139,24 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   }
   idx.resize(k);
   return idx;
+}
+
+std::vector<uint64_t> Rng::SampleSorted(uint64_t n, uint64_t k) {
+  std::vector<uint64_t> out;
+  if (k >= n) {
+    out.resize(n);
+    std::iota(out.begin(), out.end(), 0);
+    return out;
+  }
+  std::unordered_set<uint64_t> chosen;
+  chosen.reserve(static_cast<size_t>(k) * 2);
+  for (uint64_t j = n - k; j < n; ++j) {
+    const uint64_t t = UniformInt(j + 1);
+    if (!chosen.insert(t).second) chosen.insert(j);
+  }
+  out.assign(chosen.begin(), chosen.end());
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 Rng Rng::Fork() { return Rng(NextU64() ^ 0xa5a5a5a5a5a5a5a5ULL); }

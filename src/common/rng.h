@@ -56,6 +56,11 @@ class Rng {
   /// \brief Samples k distinct indices from [0, n) (k <= n).
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
 
+  /// \brief Samples min(k, n) distinct values from [0, n), ascending, with
+  /// Floyd's algorithm: O(k) time and memory, so drawing a small cohort
+  /// from a huge population never allocates O(n).
+  std::vector<uint64_t> SampleSorted(uint64_t n, uint64_t k);
+
   /// \brief Derives an independent child generator (for parallel streams).
   /// Consumes one draw from this generator's stream.
   Rng Fork();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
 #include <cstdio>
 
 namespace fexiot {
@@ -81,15 +80,6 @@ bool EndsWith(std::string_view text, std::string_view suffix) {
 
 bool Contains(std::string_view haystack, std::string_view needle) {
   return haystack.find(needle) != std::string_view::npos;
-}
-
-uint64_t HashString(std::string_view text) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (unsigned char c : text) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
 }
 
 std::string FormatDouble(double value, int precision) {

@@ -31,9 +31,6 @@ bool EndsWith(std::string_view text, std::string_view suffix);
 /// \brief True if \p haystack contains \p needle.
 bool Contains(std::string_view haystack, std::string_view needle);
 
-/// \brief Stable 64-bit FNV-1a hash of \p text (platform independent).
-uint64_t HashString(std::string_view text);
-
 /// \brief Formats a double with fixed precision.
 std::string FormatDouble(double value, int precision = 3);
 

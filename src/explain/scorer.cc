@@ -2,19 +2,15 @@
 
 #include <cassert>
 
+#include "common/hash.h"
+
 namespace fexiot {
 
 uint64_t SubsetHash(const std::vector<int>& nodes) {
-  uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  auto mix_u64 = [&h](uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xffULL;
-      h *= 0x100000001b3ULL;  // FNV-1a prime
-    }
-  };
-  mix_u64(static_cast<uint64_t>(nodes.size()));
-  for (int v : nodes) mix_u64(static_cast<uint64_t>(static_cast<uint32_t>(v)));
-  return h;
+  Fnv1a h;
+  h.U64(nodes.size());
+  for (int v : nodes) h.U64(static_cast<uint32_t>(v));
+  return h.digest();
 }
 
 double GnnGraphScorer::EvaluateUncached(

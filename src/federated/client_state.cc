@@ -5,6 +5,23 @@
 
 namespace fexiot {
 
+namespace {
+
+// Suffix split mirroring FlSimulator::SetupClients: the leading fraction
+// of an n-graph shard trains, the rest is the local test pool; when that
+// leaves the test side empty, one training graph moves over.
+int TrainSplit(int n, double local_train_fraction) {
+  const int n_train =
+      std::min(std::max(1, static_cast<int>(local_train_fraction * n)), n);
+  return n_train == n && n_train > 1 ? n_train - 1 : n_train;
+}
+
+}  // namespace
+
+int LocalTrainGraphs(const LazyClientSpec& spec) {
+  return TrainSplit(spec.graphs_per_client, spec.local_train_fraction);
+}
+
 ClientStateStore::ClientStateStore(const LazyClientSpec& spec,
                                    uint64_t num_clients, bool eager)
     : spec_(spec), num_clients_(num_clients), eager_(eager) {
@@ -33,19 +50,12 @@ std::unique_ptr<MaterializedClient> ClientStateStore::Acquire(
   state->id = client;
   state->shard_fingerprint = CorpusContentFingerprint(shard);
 
-  // Suffix split mirroring FlSimulator::SetupClients: leading fraction
-  // trains, the rest is the local test pool; when the split leaves the
-  // test side empty, one training graph moves over.
-  const auto n = static_cast<int>(shard.size());
-  int n_train = std::max(
-      1, static_cast<int>(spec_.local_train_fraction * n));
-  n_train = std::min(n_train, n);
-  std::vector<InteractionGraph> train(shard.begin(), shard.begin() + n_train);
-  std::vector<InteractionGraph> test(shard.begin() + n_train, shard.end());
-  if (test.empty() && train.size() > 1) {
-    test.push_back(std::move(train.back()));
-    train.pop_back();
-  }
+  const int n_train =
+      TrainSplit(static_cast<int>(shard.size()), spec_.local_train_fraction);
+  const std::vector<InteractionGraph> train(shard.begin(),
+                                            shard.begin() + n_train);
+  const std::vector<InteractionGraph> test(shard.begin() + n_train,
+                                           shard.end());
   state->train_graphs = PrepareGraphs(train, spec_.model);
   state->test_graphs = PrepareGraphs(test, spec_.model);
 

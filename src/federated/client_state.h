@@ -37,6 +37,12 @@ struct LazyClientSpec {
   GnnConfig model;
 };
 
+/// \brief Training graphs in every client's shard: the leading
+/// local_train_fraction of graphs_per_client, always leaving at least one
+/// test graph. Shards all have the same size, so a driver can price local
+/// training without materializing anyone.
+int LocalTrainGraphs(const LazyClientSpec& spec);
+
 /// \brief One client's fully materialized state: prepared graph splits
 /// plus a model replica, built by ClientStateStore::Acquire and handed
 /// back via Release when the client's in-flight event completes.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <numeric>
 
 #include "common/logging.h"
@@ -400,13 +398,6 @@ bool FederatedSimulator::FexiotRound(double* bytes,
           active.size() == group.size() &&
           static_cast<int>(group.size()) >= fl_config_.min_cluster_size &&
           mean_norm < fl_config_.epsilon1 && max_norm > fl_config_.epsilon2;
-      if (std::getenv("FEXIOT_DEBUG_FL") != nullptr) {
-        std::fprintf(stderr,
-                     "[fexiot-fl] layer=%d group=%zu active=%zu "
-                     "mean_norm=%.4f max_norm=%.4f split=%d\n",
-                     l, group.size(), active.size(), mean_norm, max_norm,
-                     should_split ? 1 : 0);
-      }
       if (!should_split) continue;
 
       // Lines 13-16: bisect by cosine similarity of the layer's local

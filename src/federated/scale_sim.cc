@@ -1,84 +1,39 @@
 #include "federated/scale_sim.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <unordered_set>
 
+#include "common/hash.h"
 #include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "gnn/trainer.h"
-#include "runtime/event_queue.h"
 #include "runtime/message.h"
 
 namespace fexiot {
 
-namespace {
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-void FnvBytes(uint64_t* h, const void* data, size_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    *h ^= p[i];
-    *h *= kFnvPrime;
-  }
-}
-
-uint64_t GlobalLayersFingerprint(
-    const std::vector<std::vector<double>>& layers) {
-  uint64_t h = kFnvOffset;
-  const uint64_t n = layers.size();
-  FnvBytes(&h, &n, sizeof(n));
-  for (const auto& layer : layers) {
-    const uint64_t count = layer.size();
-    FnvBytes(&h, &count, sizeof(count));
-    FnvBytes(&h, layer.data(), layer.size() * sizeof(double));
-  }
-  return h;
-}
-
-/// Floyd's algorithm: k distinct draws from [0, n) in O(k) time and
-/// memory — the O(n) scratch of Rng::SampleWithoutReplacement would
-/// reintroduce a per-total-clients allocation on the million-client path.
-std::vector<uint64_t> SampleClients(Rng rng, uint64_t n, uint64_t k) {
-  std::vector<uint64_t> out;
-  if (k >= n) {
-    out.resize(n);
-    for (uint64_t i = 0; i < n; ++i) out[i] = i;
-    return out;
-  }
-  std::unordered_set<uint64_t> chosen;
-  chosen.reserve(static_cast<size_t>(k) * 2);
-  for (uint64_t j = n - k; j < n; ++j) {
-    const uint64_t t = rng.UniformInt(j + 1);
-    if (!chosen.insert(t).second) chosen.insert(j);
-  }
-  out.assign(chosen.begin(), chosen.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-Status ValidateLink(const LinkModel& link, const char* name) {
-  if (link.latency_s < 0.0 || link.bandwidth_bps < 0.0 || link.jitter_s < 0.0)
-    return Status::InvalidArgument(std::string(name) +
-                                   ": negative latency/bandwidth/jitter");
-  if (link.loss_prob < 0.0 || link.loss_prob >= 1.0)
-    return Status::InvalidArgument(std::string(name) +
-                                   ": loss_prob must be in [0, 1)");
-  return Status::OK();
-}
-
-}  // namespace
-
 Status ValidateScaleConfig(const ScaleFlConfig& config) {
   if (config.num_clients < 1)
     return Status::InvalidArgument("num_clients must be >= 1");
-  if (config.sample_per_round < 1)
-    return Status::InvalidArgument("sample_per_round must be >= 1");
+  if (config.num_clients > static_cast<uint64_t>(INT_MAX))
+    return Status::InvalidArgument(
+        "num_clients must be <= INT_MAX (runtime client ids are int)");
+  if (config.runtime.clients_per_round < 1)
+    return Status::InvalidArgument(
+        "runtime.clients_per_round must be >= 1 (the driver trains a "
+        "sampled cohort)");
+  if (config.runtime.policy == RoundPolicy::kAsync ||
+      config.runtime.policy == RoundPolicy::kSemiAsync)
+    return Status::InvalidArgument(
+        "the scale driver runs round-based FedAvg; use the synchronous, "
+        "deadline or timeout-retry policy");
+  if (!config.runtime.client_codecs.empty())
+    return Status::InvalidArgument(
+        "the scale driver negotiates one wire codec for the whole fleet");
+  FEXIOT_RETURN_NOT_OK(ValidateRuntimeConfig(config.runtime));
   if (config.num_rounds < 1)
     return Status::InvalidArgument("num_rounds must be >= 1");
   if (config.client.graphs_per_client < 2)
@@ -90,20 +45,10 @@ Status ValidateScaleConfig(const ScaleFlConfig& config) {
         "local_train_fraction must be in (0, 1)");
   if (config.client.num_clusters < 0)
     return Status::InvalidArgument("num_clusters must be >= 0");
-  if (config.train_seconds_per_graph < 0.0)
-    return Status::InvalidArgument("train_seconds_per_graph must be >= 0");
-  if (config.deadline_s < 0.0)
-    return Status::InvalidArgument("deadline_s must be >= 0");
   if (config.eval_clients < 0)
     return Status::InvalidArgument("eval_clients must be >= 0");
   if (config.threads < 0)
     return Status::InvalidArgument("threads must be >= 0");
-  FEXIOT_RETURN_NOT_OK(ValidateLink(config.down_link, "down_link"));
-  FEXIOT_RETURN_NOT_OK(ValidateLink(config.up_link, "up_link"));
-  if (!IsValidWireCodec(static_cast<uint32_t>(config.wire_codec))) {
-    return Status::InvalidArgument("unknown wire_codec");
-  }
-  FEXIOT_RETURN_NOT_OK(ValidateTreeTopology(config.topology));
   return Status::OK();
 }
 
@@ -143,11 +88,8 @@ Result<ScaleFlResult> ScaleSimulator::Run() {
   const uint64_t n = cfg.num_clients;
 
   ClientStateStore store(cfg.client, n, cfg.eager_state);
-  AggregationTree tree(cfg.topology, MixKey(cfg.seed, /*tree*/ 19));
-  NetworkModel network(cfg.down_link, cfg.up_link, {}, {},
-                       MixKey(cfg.seed, /*network*/ 7));
-  Rng select_rng(MixKey(cfg.seed, /*select*/ 11));
-  Rng train_base(MixKey(cfg.seed, /*train*/ 23));
+  FederatedRuntime runtime(cfg.runtime, static_cast<int>(n));
+  const Rng train_base(MixKey(cfg.runtime.seed, /*train*/ 23));
   const size_t pool_threads =
       cfg.threads > 0 ? static_cast<size_t>(cfg.threads)
                       : parallel::NumThreads();
@@ -157,34 +99,26 @@ Result<ScaleFlResult> ScaleSimulator::Run() {
   // replica starts from the same seeded initialization).
   GnnModel probe(cfg.client.model);
   const int num_layers = probe.num_layers();
-  const WireCodec codec = ResolveWireCodec(cfg.wire_codec);
+  const WireCodec codec = ResolveWireCodec(cfg.runtime.wire_codec);
   std::vector<std::vector<double>> global(static_cast<size_t>(num_layers));
-  double upload_bytes = 0.0;
-  double broadcast_bytes = 0.0;
+  // Broadcast and update carry every layer, so both price alike.
+  double message_bytes = 0.0;
   for (int l = 0; l < num_layers; ++l) {
     global[static_cast<size_t>(l)] = probe.GetLayerFlat(l);
-    const double wire =
+    message_bytes +=
         static_cast<double>(MessageWireBytes(probe.LayerSize(l), codec));
-    upload_bytes += wire;
-    broadcast_bytes += wire;
   }
+  const double train_seconds = cfg.runtime.train_seconds_per_graph *
+                               LocalTrainGraphs(cfg.client) *
+                               cfg.train.epochs;
 
   ScaleFlResult result;
-  double sim_time = 0.0;
-
   for (int round = 0; round < cfg.num_rounds; ++round) {
-    const uint64_t k64 = std::min<uint64_t>(
-        n, static_cast<uint64_t>(cfg.sample_per_round));
-    const std::vector<uint64_t> participants =
-        SampleClients(select_rng.ForkAt(static_cast<uint64_t>(round) + 1), n,
-                      k64);
+    const RoundOutcome out = runtime.ExecuteRound(round, message_bytes,
+                                                  message_bytes, train_seconds);
+    const std::vector<int>& participants = out.participants;
     const size_t k = participants.size();
-
-    // Per-participant round scratch — sized by the sample, never by the
-    // federation.
     std::vector<double> losses(k, 0.0);
-    std::vector<char> lost(k, 0);
-    std::vector<double> edge_arrival(k, 0.0);
     std::vector<std::vector<std::vector<double>>> updates(k);
 
     // Downlink: participants receive the global as it survives the wire
@@ -198,8 +132,7 @@ Result<ScaleFlResult> ScaleSimulator::Run() {
     }
 
     pool.ParallelFor(k, [&](size_t i) {
-      const uint64_t client = participants[i];
-      const int cid = static_cast<int>(client);
+      const auto client = static_cast<uint64_t>(participants[i]);
       std::unique_ptr<MaterializedClient> mc =
           store.Acquire(client, broadcast_global);
       Rng train_rng = train_base.ForkAt(
@@ -215,160 +148,63 @@ Result<ScaleFlResult> ScaleSimulator::Run() {
         up[static_cast<size_t>(l)] = mc->model.GetLayerFlat(l);
         CodecRoundTrip(codec, &up[static_cast<size_t>(l)]);
       }
-      const double train_s = cfg.train_seconds_per_graph *
-                             static_cast<double>(mc->train_graphs.size()) *
-                             cfg.train.epochs;
-      edge_arrival[i] =
-          network.TransferSeconds(round, cid, LinkDirection::kDown, 0,
-                                  broadcast_bytes) +
-          train_s +
-          network.TransferSeconds(round, cid, LinkDirection::kUp, 0,
-                                  upload_bytes);
-      lost[i] = network.LostInTransit(round, cid, 0) ? 1 : 0;
       // Release inside the worker: peak live state <= pool width.
       store.Release(std::move(mc));
     });
 
+    // Streaming FedAvg over the delivered updates along the aggregation
+    // tree. Shards are equal, so each delivered client weighs
+    // 1 / delivered — AverageLayer's w_c / weight_sum. Under the flat
+    // topology this replays the eager aggregation bit-exactly; tree
+    // merges reassociate (DESIGN.md 5.10).
+    if (!out.delivered.empty()) {
+      std::vector<size_t> slot;  // delivered is a sorted subset
+      slot.reserve(out.delivered.size());
+      for (int c : out.delivered) {
+        slot.push_back(static_cast<size_t>(
+            std::lower_bound(participants.begin(), participants.end(), c) -
+            participants.begin()));
+      }
+      const double wc = 1.0 / static_cast<double>(out.delivered.size());
+      for (size_t l = 0; l < global.size(); ++l) {
+        global[l] = runtime.tree()
+                        .Accumulate(out.delivered,
+                                    [&](size_t d, StreamingAccumulator* acc) {
+                                      acc->Add(wc, updates[slot[d]][l]);
+                                    })
+                        .weighted_sum();
+      }
+    }
+
     ScaleRoundStats stats;
     stats.round = round;
     stats.participants = static_cast<int>(k);
+    stats.delivered = static_cast<int>(out.delivered.size());
+    stats.lost_updates = out.lost_updates;
+    stats.late_updates = out.late_updates;
+    stats.aggregator_crashes = out.aggregator_crashes;
+    stats.subtree_lost_updates = out.subtree_lost_updates;
     double loss_sum = 0.0;
-    for (size_t i = 0; i < k; ++i) loss_sum += losses[i];
+    for (double loss : losses) loss_sum += loss;
     stats.mean_local_loss = k > 0 ? loss_sum / static_cast<double>(k) : 0.0;
-
-    // Arrived uploads in ascending client order (participants are sorted).
-    std::vector<size_t> arrived_idx;
-    arrived_idx.reserve(k);
-    for (size_t i = 0; i < k; ++i) {
-      if (lost[i]) {
-        ++stats.lost_updates;
-      } else {
-        arrived_idx.push_back(i);
-      }
-    }
-
-    // Route root-ward: delivered indices + root arrival times.
-    std::vector<size_t> delivered_idx;
-    std::vector<double> root_arrival;
-    double last_arrival = 0.0;
-    if (tree.enabled()) {
-      std::vector<TreeArrival> arrivals;
-      arrivals.reserve(arrived_idx.size());
-      for (size_t i : arrived_idx)
-        arrivals.push_back(TreeArrival{static_cast<int>(participants[i]),
-                                       edge_arrival[i]});
-      const TreeDelivery td =
-          tree.Route(round, arrivals, upload_bytes, nullptr);
-      stats.aggregator_crashes = td.aggregator_crashes;
-      stats.subtree_lost_updates = td.subtree_lost;
-      stats.hop_bytes = td.hop_bytes;
-      stats.events += static_cast<uint64_t>(td.edge_forwards) +
-                      static_cast<uint64_t>(td.regional_forwards);
-      last_arrival = td.last_arrival_s;
-      // Map delivered clients (ascending) back to participant indices.
-      size_t cursor = 0;
-      for (size_t d = 0; d < td.delivered.size(); ++d) {
-        const auto client = static_cast<uint64_t>(td.delivered[d]);
-        while (participants[arrived_idx[cursor]] != client) ++cursor;
-        delivered_idx.push_back(arrived_idx[cursor]);
-        root_arrival.push_back(td.root_arrival_s[d]);
-      }
-    } else {
-      stats.hop_bytes.assign(1, 0.0);
-      delivered_idx = arrived_idx;
-      for (size_t i : arrived_idx) {
-        root_arrival.push_back(edge_arrival[i]);
-        last_arrival = std::max(last_arrival, edge_arrival[i]);
-      }
-    }
-    // Hop 0 counts every transmission attempt, including lost ones.
-    stats.hop_bytes[0] += static_cast<double>(k) * upload_bytes;
-
-    // Deadline policy: updates reaching the root late are discarded.
-    if (cfg.deadline_s > 0.0) {
-      std::vector<size_t> in_time;
-      in_time.reserve(delivered_idx.size());
-      for (size_t d = 0; d < delivered_idx.size(); ++d) {
-        if (root_arrival[d] <= cfg.deadline_s) {
-          in_time.push_back(delivered_idx[d]);
-        } else {
-          ++stats.late_updates;
-        }
-      }
-      delivered_idx = std::move(in_time);
-    }
-    stats.delivered = static_cast<int>(delivered_idx.size());
-
-    // Streaming FedAvg: replay AverageLayer's exact per-element
-    // multiply-adds — weight_sum accumulated ascending first, then one
-    // Add(w_c / weight_sum, x_c) per delivered client in ascending order.
-    // Under the flat topology this is bit-identical to the eager
-    // aggregation; tree merges reassociate (DESIGN.md 5.10).
-    if (!delivered_idx.empty()) {
-      double weight_sum = 0.0;
-      for (size_t d = 0; d < delivered_idx.size(); ++d) weight_sum += 1.0;
-      if (weight_sum > 0.0) {
-        const int depth = tree.depth();
-        for (int l = 0; l < num_layers; ++l) {
-          StreamingAccumulator root_acc, regional_acc, edge_acc;
-          int cur_edge = -1;
-          int cur_regional = -1;
-          for (size_t d : delivered_idx) {
-            const int client = static_cast<int>(participants[d]);
-            const double wc = 1.0 * 1.0 / weight_sum;
-            if (depth == 1) {
-              root_acc.Add(wc, updates[d][static_cast<size_t>(l)]);
-              continue;
-            }
-            const int edge = tree.EdgeOf(client);
-            if (edge != cur_edge) {
-              // New edge group: fold the finished edge into its parent
-              // tier before (depth 3) checking for a regional boundary.
-              if (cur_edge >= 0) {
-                (depth == 3 ? regional_acc : root_acc).Merge(edge_acc);
-                edge_acc = StreamingAccumulator();
-              }
-              if (depth == 3) {
-                const int regional = tree.RegionalOf(edge);
-                if (regional != cur_regional) {
-                  if (cur_regional >= 0) {
-                    root_acc.Merge(regional_acc);
-                    regional_acc = StreamingAccumulator();
-                  }
-                  cur_regional = regional;
-                }
-              }
-              cur_edge = edge;
-            }
-            edge_acc.Add(wc, updates[d][static_cast<size_t>(l)]);
-          }
-          if (depth >= 2 && cur_edge >= 0)
-            (depth == 3 ? regional_acc : root_acc).Merge(edge_acc);
-          if (depth == 3 && cur_regional >= 0) root_acc.Merge(regional_acc);
-          // Pre-normalized weights sum to 1, so the weighted sum is the
-          // weighted mean — same math AverageLayer installs.
-          global[static_cast<size_t>(l)] = root_acc.weighted_sum();
-        }
-      }
-    }
-
-    stats.events += 3 * static_cast<uint64_t>(k);  // broadcast, train, upload
-    double round_comm = static_cast<double>(k) * broadcast_bytes;
+    stats.sim_time_s = out.end_time_s;
+    // A flat round's only hop is the client uplink.
+    stats.hop_bytes = out.hop_bytes.empty()
+                          ? std::vector<double>{out.uplink_wire_bytes}
+                          : out.hop_bytes;
+    stats.events = out.events;
+    double round_comm = out.downlink_wire_bytes;
     for (double b : stats.hop_bytes) round_comm += b;
     result.total_comm_bytes += round_comm;
-    const double round_end =
-        cfg.deadline_s > 0.0 ? cfg.deadline_s : last_arrival;
-    sim_time += round_end;
-    stats.sim_time_s = sim_time;
     result.total_events += stats.events;
     result.rounds.push_back(std::move(stats));
   }
 
   // Final-round evaluation on a sampled client set.
   if (cfg.eval_clients > 0) {
-    const std::vector<uint64_t> eval_clients = SampleClients(
-        select_rng.ForkAt(0xEEEEULL), n,
-        std::min<uint64_t>(n, static_cast<uint64_t>(cfg.eval_clients)));
+    Rng eval_rng(MixKey(cfg.runtime.seed, /*eval*/ 29));
+    const std::vector<uint64_t> eval_clients = eval_rng.SampleSorted(
+        n, static_cast<uint64_t>(cfg.eval_clients));
     std::vector<ClassificationMetrics> metrics(eval_clients.size());
     pool.ParallelFor(eval_clients.size(), [&](size_t i) {
       std::unique_ptr<MaterializedClient> mc =
@@ -398,8 +234,14 @@ Result<ScaleFlResult> ScaleSimulator::Run() {
   }
 
   result.global_layers = std::move(global);
-  result.global_fingerprint = GlobalLayersFingerprint(result.global_layers);
-  result.total_sim_time_s = sim_time;
+  Fnv1a fingerprint;
+  fingerprint.U64(result.global_layers.size());
+  for (const auto& layer : result.global_layers) {
+    fingerprint.U64(layer.size());
+    for (double v : layer) fingerprint.Double(v);
+  }
+  result.global_fingerprint = fingerprint.digest();
+  result.total_sim_time_s = runtime.now();
   result.materializations = store.materializations();
   result.peak_live_clients = store.peak_live();
   result.peak_rss_mb = ReadVmHwmMb();

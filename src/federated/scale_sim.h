@@ -8,22 +8,21 @@
 #include "common/status.h"
 #include "federated/client_state.h"
 #include "ml/metrics.h"
-#include "runtime/codec.h"
-#include "runtime/network_model.h"
-#include "runtime/topology.h"
+#include "runtime/runtime.h"
 
 namespace fexiot {
 
-/// \brief Configuration of the million-client lazy-state FedAvg simulator.
+/// \brief Configuration of the million-client lazy-state FedAvg driver.
 ///
 /// Unlike FlConfig (which hosts every client eagerly and evaluates all of
 /// them), ScaleFlConfig describes the federation by a LazyClientSpec and
-/// samples a small participant set per round, so memory is O(active
-/// clients) regardless of num_clients.
+/// samples a small cohort per round, so memory is O(active clients)
+/// regardless of num_clients.
 struct ScaleFlConfig {
+  ScaleFlConfig() { runtime.clients_per_round = 32; }
+
+  /// At most INT_MAX: the runtime's client ids are int.
   uint64_t num_clients = 1000;
-  /// Clients sampled (without replacement, seeded per round) each round.
-  int sample_per_round = 32;
   int num_rounds = 2;
   /// Recipe materializing any client's shard + replica on demand.
   LazyClientSpec client;
@@ -32,32 +31,22 @@ struct ScaleFlConfig {
   /// results to the lazy default (pinned by test_scale) — only the memory
   /// profile differs.
   bool eager_state = false;
-  /// Hierarchical aggregation topology; flat when edge_fanout == 0.
-  TreeTopologyConfig topology;
-  /// Client access links (same LinkModel pricing as the event runtime).
-  LinkModel down_link;
-  LinkModel up_link;
-  /// Wire payload codec for every exchanged message (runtime/codec.h);
-  /// kFp64 is the bit-exact passthrough default. Lossy codecs shrink the
-  /// priced transfers and quantize what crosses each link — deterministic,
-  /// so thread-count/lazy-vs-eager bit-identity is preserved. Resolved
-  /// through FEXIOT_WIRE_CODEC at Run.
-  WireCodec wire_codec = WireCodec::kFp64;
-  /// Simulated seconds of local training per prepared graph per epoch.
-  double train_seconds_per_graph = 0.0;
-  /// Round deadline in simulated seconds; updates arriving at the root
-  /// later are discarded. 0 = synchronous (wait for all survivors).
-  double deadline_s = 0.0;
+  /// The round engine's knobs: cohort size (clients_per_round, >= 1
+  /// here), client links, aggregation topology, wire codec (resolved
+  /// through FEXIOT_WIRE_CODEC at Run), compute model, round policy
+  /// (synchronous, deadline or timeout-retry) and the seed of every draw,
+  /// training streams included.
+  RuntimeConfig runtime;
   /// Clients evaluated after the final round (sampled; 0 = skip eval).
   int eval_clients = 0;
   /// Worker threads for parallel client training (0 = hardware).
   int threads = 0;
-  uint64_t seed = 59;
 };
 
 Status ValidateScaleConfig(const ScaleFlConfig& config);
 
-/// \brief Per-round telemetry of a scale run.
+/// \brief Per-round telemetry of a scale run (copied from the runtime's
+/// RoundOutcome).
 struct ScaleRoundStats {
   int round = 0;
   int participants = 0;
@@ -76,8 +65,8 @@ struct ScaleRoundStats {
   /// Bytes crossing each uplink tier (size = tree depth; [0] = client
   /// uplink incl. lost transmissions).
   std::vector<double> hop_bytes;
-  /// Simulated events this round (broadcast + train + upload per
-  /// participant, plus one per interior forward).
+  /// Events the runtime's scheduler ran this round, plus one per interior
+  /// tree forward.
   uint64_t events = 0;
 };
 
@@ -112,18 +101,19 @@ double ReadVmHwmMb();
 /// Current resident set size in MB (VmRSS; 0.0 off Linux).
 double ReadVmRssMb();
 
-/// \brief Million-client FedAvg driver over lazy client state and the
-/// hierarchical streaming-aggregation tree.
+/// \brief Million-client FedAvg driver: a lazy client loop over the
+/// event runtime.
 ///
-/// Per round: sample participants (Floyd's O(k) algorithm — no O(n)
-/// scratch), fan local training out over a thread pool where each worker
-/// Acquires its client's state, trains, snapshots the update, and
-/// Releases before returning (peak live state <= pool width), then route
-/// arrivals through the aggregation tree and fold delivered updates into
-/// streaming accumulators per tier. Clients are stateless (re-initialized
-/// from the global each round) and every stochastic draw is counter-based,
-/// so results are bit-identical across thread counts, participation
-/// schedules, and lazy-vs-eager state (pinned by test_scale).
+/// Each round FederatedRuntime::ExecuteRound (uniform per-client costs)
+/// picks the cohort and decides timing and delivery. The driver then fans
+/// local training out over a thread pool where each worker Acquires its
+/// client's state from the global, trains, snapshots the update, and
+/// Releases before returning (peak live state <= pool width), and folds
+/// the delivered updates into streaming accumulators along the runtime's
+/// aggregation tree. Clients are stateless (re-initialized from the global
+/// each round) and every stochastic draw is counter-based, so results are
+/// bit-identical across thread counts and lazy-vs-eager state (pinned by
+/// test_scale).
 class ScaleSimulator {
  public:
   explicit ScaleSimulator(const ScaleFlConfig& config);

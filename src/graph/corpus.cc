@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <set>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "graph/vuln_checker.h"
@@ -425,76 +425,59 @@ std::vector<InteractionGraph> GraphCorpusGenerator::GenerateDataset(
 
 namespace {
 
-void FnvBytes(const void* data, size_t n, uint64_t* h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    *h ^= p[i];
-    *h *= 0x100000001b3ULL;  // FNV-1a prime
-  }
+void HashText(const std::string& s, Fnv1a* h) {
+  h->U64(s.size());
+  h->Bytes(s.data(), s.size());
 }
 
-void FnvU64(uint64_t v, uint64_t* h) { FnvBytes(&v, sizeof(v), h); }
-
-void FnvDouble(double v, uint64_t* h) {
-  // Bit pattern, not value: 0.0 vs -0.0 or any ulp drift must be caught.
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  FnvU64(bits, h);
-}
-
-void FnvString(const std::string& s, uint64_t* h) {
-  FnvU64(s.size(), h);
-  FnvBytes(s.data(), s.size(), h);
-}
-
-void FnvGraph(const InteractionGraph& g, uint64_t* h) {
-  FnvU64(static_cast<uint64_t>(g.num_nodes()), h);
+void HashGraph(const InteractionGraph& g, Fnv1a* h) {
+  h->U64(static_cast<uint64_t>(g.num_nodes()));
   for (int i = 0; i < g.num_nodes(); ++i) {
     const GraphNode& n = g.node(i);
-    FnvU64(static_cast<uint64_t>(n.rule.platform), h);
-    FnvString(n.rule.description, h);
-    FnvString(n.rule.trigger_text, h);
-    FnvString(n.rule.action_text, h);
-    FnvDouble(n.event_time, h);
-    FnvU64(n.features.size(), h);
-    for (double f : n.features) FnvDouble(f, h);
+    h->U64(static_cast<uint64_t>(n.rule.platform));
+    HashText(n.rule.description, h);
+    HashText(n.rule.trigger_text, h);
+    HashText(n.rule.action_text, h);
+    h->Double(n.event_time);
+    h->U64(n.features.size());
+    for (double f : n.features) h->Double(f);
   }
-  FnvU64(static_cast<uint64_t>(g.num_edges()), h);
+  h->U64(static_cast<uint64_t>(g.num_edges()));
   for (const auto& [u, v] : g.edges()) {
-    FnvU64(static_cast<uint64_t>(u), h);
-    FnvU64(static_cast<uint64_t>(v), h);
+    h->U64(static_cast<uint64_t>(u));
+    h->U64(static_cast<uint64_t>(v));
   }
-  FnvU64(static_cast<uint64_t>(g.label()), h);
-  FnvU64(static_cast<uint64_t>(g.vulnerability()), h);
-  FnvU64(g.witness().size(), h);
-  for (int w : g.witness()) FnvU64(static_cast<uint64_t>(w), h);
+  h->U64(static_cast<uint64_t>(g.label()));
+  h->U64(static_cast<uint64_t>(g.vulnerability()));
+  h->U64(g.witness().size());
+  for (int w : g.witness()) h->U64(static_cast<uint64_t>(w));
 }
 
 }  // namespace
 
 uint64_t CorpusContentFingerprint(
     const std::vector<InteractionGraph>& graphs) {
-  uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
-  FnvU64(graphs.size(), &h);
-  for (const auto& g : graphs) FnvGraph(g, &h);
-  return h;
+  Fnv1a h;
+  h.U64(graphs.size());
+  for (const auto& g : graphs) HashGraph(g, &h);
+  return h.digest();
 }
 
 uint64_t FederatedCorpusContentFingerprint(const FederatedCorpus& corpus) {
-  uint64_t h = CorpusContentFingerprint(corpus.data.graphs());
-  FnvU64(corpus.partition.indices.size(), &h);
+  Fnv1a h(CorpusContentFingerprint(corpus.data.graphs()));
+  h.U64(corpus.partition.indices.size());
   for (const auto& shard : corpus.partition.indices) {
-    FnvU64(shard.size(), &h);
-    for (size_t i : shard) FnvU64(i, &h);
+    h.U64(shard.size());
+    for (size_t i : shard) h.U64(i);
   }
   for (int c : corpus.partition.client_cluster) {
-    FnvU64(static_cast<uint64_t>(c), &h);
+    h.U64(static_cast<uint64_t>(c));
   }
-  FnvU64(corpus.cluster_tests.size(), &h);
+  h.U64(corpus.cluster_tests.size());
   for (const auto& pool : corpus.cluster_tests) {
-    FnvU64(CorpusContentFingerprint(pool.graphs()), &h);
+    h.U64(CorpusContentFingerprint(pool.graphs()));
   }
-  return h;
+  return h.digest();
 }
 
 CorpusStats ComputeCorpusStats(const std::vector<InteractionGraph>& graphs) {

@@ -4,7 +4,7 @@
 #include <unordered_map>
 
 #include "common/rng.h"
-#include "common/string_util.h"
+#include "common/hash.h"
 #include "nlp/lexicon.h"
 #include "nlp/tokenizer.h"
 #include "tensor/ops.h"

@@ -76,7 +76,9 @@ class RunningQuantile {
 /// or a replayed message) are rejected and counted instead of being applied
 /// twice. Purely deterministic — state is a function of the Arrive call
 /// sequence, which the event scheduler already makes a pure function of the
-/// seed.
+/// seed. Clients are dense indices in [0, num_clients); the runtime keys
+/// it by each participant's slot in the round, so it is sized by the
+/// round's cohort, not by the fleet.
 class ArrivalTracker {
  public:
   explicit ArrivalTracker(int num_clients);

@@ -11,8 +11,13 @@ FaultModel::FaultModel(ClientFaultProfile default_profile,
                        int num_clients, uint64_t seed)
     : default_profile_(default_profile),
       per_client_(std::move(per_client)),
-      offline_until_(static_cast<size_t>(num_clients), 0),
-      base_(seed) {}
+      base_(seed) {
+  bool can_crash = default_profile_.crash_prob > 0.0;
+  for (const ClientFaultProfile& p : per_client_) {
+    can_crash = can_crash || p.crash_prob > 0.0;
+  }
+  if (can_crash) offline_until_.assign(static_cast<size_t>(num_clients), 0);
+}
 
 const ClientFaultProfile& FaultModel::profile(int client) const {
   if (static_cast<size_t>(client) < per_client_.size()) {
@@ -22,6 +27,7 @@ const ClientFaultProfile& FaultModel::profile(int client) const {
 }
 
 bool FaultModel::Alive(int round, int client) {
+  if (!can_crash()) return true;
   if (round < offline_until_[static_cast<size_t>(client)]) return false;
   const ClientFaultProfile& p = profile(client);
   if (p.crash_prob <= 0.0) return true;

@@ -27,7 +27,8 @@ struct ClientFaultProfile {
 /// so whether client c crashes in round r is a pure function of the seed —
 /// independent of event order, thread count, and which other faults fire.
 /// Crash state (offline-until round) is the only mutable state and is
-/// advanced in client index order by the runtime.
+/// advanced in client index order by the runtime. It is the model's only
+/// per-client state, and a fleet whose profiles never crash holds none.
 class FaultModel {
  public:
   FaultModel(ClientFaultProfile default_profile,
@@ -35,6 +36,10 @@ class FaultModel {
              uint64_t seed);
 
   const ClientFaultProfile& profile(int client) const;
+
+  /// Whether any client's profile has crash_prob > 0. When false every
+  /// client is always alive and Alive need not be called.
+  bool can_crash() const { return !offline_until_.empty(); }
 
   /// Applies the crash draw for (round, client) and the rejoin window.
   /// Must be called exactly once per client per round, in client order.
@@ -48,7 +53,8 @@ class FaultModel {
  private:
   ClientFaultProfile default_profile_;
   std::vector<ClientFaultProfile> per_client_;
-  std::vector<int> offline_until_;  ///< first round the client is back
+  /// First round each client is back; empty when no client can crash.
+  std::vector<int> offline_until_;
   Rng base_;
 };
 

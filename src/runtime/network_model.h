@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 
 namespace fexiot {
 
@@ -19,6 +21,10 @@ struct LinkModel {
   double jitter_s = 0.0;       ///< uniform extra delay in [0, jitter_s)
   double loss_prob = 0.0;      ///< per-transfer loss probability
 };
+
+/// \brief Rejects negative latency/bandwidth/jitter and a loss_prob
+/// outside [0, 1); \p what names the link in the error message.
+Status ValidateLinkModel(const LinkModel& link, const std::string& what);
 
 enum class LinkDirection : int { kDown = 0, kUp = 1 };
 
@@ -50,11 +56,6 @@ class NetworkModel {
   /// Whether this transfer attempt over \p dir is lost in transit.
   bool LostInTransit(int round, int client, LinkDirection dir,
                      int attempt) const;
-
-  /// Uplink shorthand (the historical call sites).
-  bool LostInTransit(int round, int client, int attempt) const {
-    return LostInTransit(round, client, LinkDirection::kUp, attempt);
-  }
 
  private:
   Rng DrawStream(int round, int client, LinkDirection dir, int attempt,

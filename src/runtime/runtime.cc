@@ -24,19 +24,6 @@ const char* RoundPolicyName(RoundPolicy policy) {
 
 namespace {
 
-Status ValidateLink(const LinkModel& link, const char* what) {
-  if (link.latency_s < 0.0 || link.bandwidth_bps < 0.0 ||
-      link.jitter_s < 0.0) {
-    return Status::InvalidArgument(std::string(what) +
-                                   ": latency/bandwidth/jitter must be >= 0");
-  }
-  if (link.loss_prob < 0.0 || link.loss_prob >= 1.0) {
-    return Status::InvalidArgument(std::string(what) +
-                                   ": loss_prob must be in [0, 1)");
-  }
-  return Status::OK();
-}
-
 Status ValidateFault(const ClientFaultProfile& fault, const char* what) {
   if (fault.slowdown <= 0.0) {
     return Status::InvalidArgument(std::string(what) +
@@ -118,10 +105,9 @@ Status ValidateRuntimeConfig(const RuntimeConfig& config) {
     return Status::InvalidArgument(
         "runtime: train_seconds_per_graph must be >= 0");
   }
-  if (config.participation_fraction <= 0.0 ||
-      config.participation_fraction > 1.0) {
+  if (config.clients_per_round < 0) {
     return Status::InvalidArgument(
-        "runtime: participation_fraction must be in (0, 1]");
+        "runtime: clients_per_round must be >= 0 (0 invites everyone)");
   }
   if (!IsValidWireCodec(static_cast<uint32_t>(config.wire_codec))) {
     return Status::InvalidArgument("runtime: unknown wire_codec");
@@ -145,13 +131,14 @@ Status ValidateRuntimeConfig(const RuntimeConfig& config) {
           "bound root arrivals under a tree; use a fixed deadline_s");
     }
   }
-  FEXIOT_RETURN_NOT_OK(ValidateLink(config.default_down, "runtime downlink"));
-  FEXIOT_RETURN_NOT_OK(ValidateLink(config.default_up, "runtime uplink"));
+  FEXIOT_RETURN_NOT_OK(
+      ValidateLinkModel(config.default_down, "runtime downlink"));
+  FEXIOT_RETURN_NOT_OK(ValidateLinkModel(config.default_up, "runtime uplink"));
   for (const LinkModel& l : config.down_links) {
-    FEXIOT_RETURN_NOT_OK(ValidateLink(l, "runtime downlink"));
+    FEXIOT_RETURN_NOT_OK(ValidateLinkModel(l, "runtime downlink"));
   }
   for (const LinkModel& l : config.up_links) {
-    FEXIOT_RETURN_NOT_OK(ValidateLink(l, "runtime uplink"));
+    FEXIOT_RETURN_NOT_OK(ValidateLinkModel(l, "runtime uplink"));
   }
   FEXIOT_RETURN_NOT_OK(ValidateFault(config.default_fault, "runtime fault"));
   for (const ClientFaultProfile& f : config.faults) {
@@ -170,11 +157,12 @@ FederatedRuntime::FederatedRuntime(const RuntimeConfig& config,
               MixKey(config.seed, /*fault*/ 13)),
       tree_(config.topology, MixKey(config.seed, /*tree*/ 19)),
       select_rng_(MixKey(config.seed, /*select*/ 17)),
-      send_time_(static_cast<size_t>(num_clients), 0.0),
-      tracker_(num_clients),
-      speed_(static_cast<size_t>(num_clients),
-             EwmaSpeed(config.speed_ewma_beta)),
-      arrival_quantile_(config.adaptive_deadline_quantile) {}
+      arrival_quantile_(config.adaptive_deadline_quantile) {
+  if (config.policy == RoundPolicy::kSemiAsync) {
+    speed_.assign(static_cast<size_t>(num_clients),
+                  EwmaSpeed(config.speed_ewma_beta));
+  }
+}
 
 void FederatedRuntime::TraceLine(const std::string& line) {
   if (config_.record_trace) trace_.push_back(line);
@@ -198,19 +186,17 @@ double FederatedRuntime::EffectiveDeadline() const {
 
 void FederatedRuntime::SendUpload(EventQueue* queue, RoundOutcome* outcome,
                                   int round, int client, int attempt,
-                                  double send_time,
-                                  const std::vector<double>& upload_bytes) {
-  send_time_[static_cast<size_t>(client)] = send_time;
-  outcome->uplink_wire_bytes += upload_bytes[static_cast<size_t>(client)];
+                                  double send_time, double upload_bytes) {
+  outcome->uplink_wire_bytes += upload_bytes;
   if (attempt > 0) {
     ++outcome->retransmissions;
-    outcome->retransmit_bytes += upload_bytes[static_cast<size_t>(client)];
+    outcome->retransmit_bytes += upload_bytes;
   }
-  const double duration =
-      network_.TransferSeconds(round, client, LinkDirection::kUp, attempt,
-                               upload_bytes[static_cast<size_t>(client)]);
-  const bool lost = network_.LostInTransit(round, client, attempt) ||
-                    faults_.DropsUpdate(round, client, attempt);
+  const double duration = network_.TransferSeconds(
+      round, client, LinkDirection::kUp, attempt, upload_bytes);
+  const bool lost =
+      network_.LostInTransit(round, client, LinkDirection::kUp, attempt) ||
+      faults_.DropsUpdate(round, client, attempt);
   queue->Schedule(send_time + duration,
                   lost ? EventKind::kUploadLost : EventKind::kUploadArrive,
                   client, attempt);
@@ -236,75 +222,82 @@ void FederatedRuntime::SendBroadcast(EventQueue* queue, RoundOutcome* outcome,
 RoundOutcome FederatedRuntime::ExecuteRound(
     int round, double broadcast_bytes, const std::vector<double>& upload_bytes,
     const std::vector<double>& train_seconds) {
-  return ExecuteRound(round,
-                      std::vector<double>(static_cast<size_t>(num_clients_),
-                                          broadcast_bytes),
-                      upload_bytes, train_seconds);
+  return Execute(round, broadcast_bytes, upload_bytes, train_seconds);
 }
 
 RoundOutcome FederatedRuntime::ExecuteRound(
     int round, const std::vector<double>& broadcast_bytes,
     const std::vector<double>& upload_bytes,
     const std::vector<double>& train_seconds) {
+  return Execute(round, broadcast_bytes, upload_bytes, train_seconds);
+}
+
+RoundOutcome FederatedRuntime::ExecuteRound(int round, double broadcast_bytes,
+                                            double upload_bytes,
+                                            double train_seconds) {
+  return Execute(round, broadcast_bytes, upload_bytes, train_seconds);
+}
+
+RoundOutcome FederatedRuntime::Execute(int round, Cost broadcast_bytes,
+                                       Cost upload_bytes, Cost train_seconds) {
   RoundOutcome outcome;
   outcome.start_time_s = now_;
-  tracker_.Reset();
   const bool is_async = config_.policy == RoundPolicy::kAsync ||
                         config_.policy == RoundPolicy::kSemiAsync;
 
-  // 1. Selection: crash/rejoin filter, then policy-driven (over-)selection.
+  // 1. Selection: crash/rejoin filter (no scan when nobody can crash),
+  // the sampled cohort, then policy-driven (over-)selection.
+  std::vector<int>& participants = outcome.participants;
+  const bool can_crash = faults_.can_crash();
   std::vector<int> alive;
-  for (int c = 0; c < num_clients_; ++c) {
-    if (faults_.Alive(round, c)) alive.push_back(c);
-  }
-  if (config_.participation_fraction < 1.0 && !alive.empty()) {
-    // Sampled participation: a seeded per-round draw invites only a
-    // fraction of the alive fleet (the scale-out regime where the fleet
-    // is much larger than any round's cohort).
-    const size_t want = std::min(
-        alive.size(),
-        static_cast<size_t>(std::max(
-            1.0, std::ceil(config_.participation_fraction *
-                               static_cast<double>(alive.size()) -
-                           1e-9))));
-    if (want < alive.size()) {
-      Rng r = select_rng_.ForkAt(
-          MixKey(static_cast<uint64_t>(round) + 1, /*sample*/ 0x5A17));
-      const std::vector<size_t> picks =
-          r.SampleWithoutReplacement(alive.size(), want);
-      std::vector<int> sampled;
-      sampled.reserve(want);
-      for (size_t i : picks) sampled.push_back(alive[i]);
-      std::sort(sampled.begin(), sampled.end());
-      alive = std::move(sampled);
+  if (can_crash) {
+    for (int c = 0; c < num_clients_; ++c) {
+      if (faults_.Alive(round, c)) alive.push_back(c);
     }
   }
-  outcome.participants = alive;
-  if (config_.policy == RoundPolicy::kDeadline && !alive.empty()) {
+  const size_t alive_count =
+      can_crash ? alive.size() : static_cast<size_t>(num_clients_);
+  auto alive_at = [&](uint64_t i) {
+    return can_crash ? alive[static_cast<size_t>(i)] : static_cast<int>(i);
+  };
+  if (config_.clients_per_round > 0) {
+    Rng r = select_rng_.ForkAt(
+        MixKey(static_cast<uint64_t>(round) + 1, /*sample*/ 0x5A17));
+    for (uint64_t i : r.SampleSorted(
+             alive_count, static_cast<uint64_t>(config_.clients_per_round))) {
+      participants.push_back(alive_at(i));
+    }
+  } else {
+    participants.reserve(alive_count);
+    for (size_t i = 0; i < alive_count; ++i) {
+      participants.push_back(alive_at(i));
+    }
+  }
+  if (config_.policy == RoundPolicy::kDeadline && !participants.empty()) {
     // Absorb fp dust before the ceil so e.g. 0.4 * 1.5 * 10 invites
     // exactly 6 clients, not 7. Under sampled participation the
-    // over-selection budget is relative to the sampled pool.
-    const double base = config_.participation_fraction < 1.0
-                            ? static_cast<double>(alive.size())
+    // over-selection budget is relative to the sampled cohort.
+    const double base = config_.clients_per_round > 0
+                            ? static_cast<double>(participants.size())
                             : static_cast<double>(num_clients_);
     const double invited =
         config_.target_fraction * config_.over_selection * base;
     const size_t want = std::min(
-        alive.size(),
+        participants.size(),
         static_cast<size_t>(std::max(1.0, std::ceil(invited - 1e-9))));
-    if (want < alive.size()) {
+    if (want < participants.size()) {
       Rng r = select_rng_.ForkAt(static_cast<uint64_t>(round) + 1);
       const std::vector<size_t> picks =
-          r.SampleWithoutReplacement(alive.size(), want);
+          r.SampleWithoutReplacement(participants.size(), want);
       std::vector<int> selected;
       selected.reserve(want);
-      for (size_t i : picks) selected.push_back(alive[i]);
+      for (size_t i : picks) selected.push_back(participants[i]);
       std::sort(selected.begin(), selected.end());
       // Over-selection must never invite a client twice (a rejoin landing
       // mid-selection would train it twice and double-weight its update).
       selected.erase(std::unique(selected.begin(), selected.end()),
                      selected.end());
-      outcome.participants = std::move(selected);
+      participants = std::move(selected);
     }
   }
   {
@@ -312,45 +305,51 @@ RoundOutcome FederatedRuntime::ExecuteRound(
     std::snprintf(buf, sizeof(buf),
                   "round=%d policy=%s start=%.6f participants=%zu", round,
                   RoundPolicyName(config_.policy), outcome.start_time_s,
-                  outcome.participants.size());
+                  participants.size());
     TraceLine(buf);
   }
 
   // Async policies: quorum of applied updates that closes the wave.
   const int quorum =
-      is_async && !outcome.participants.empty()
+      is_async && !participants.empty()
           ? std::max(1, static_cast<int>(std::ceil(
                             config_.target_fraction *
-                                static_cast<double>(
-                                    outcome.participants.size()) -
+                                static_cast<double>(participants.size()) -
                             1e-9)))
           : 0;
+
+  // Round scratch is indexed by participant slot; events carry client ids
+  // (traces and tie-breaks key on them), so each event looks its slot up
+  // in the sorted participant list.
+  auto slot_of = [&participants](int client) {
+    return static_cast<size_t>(
+        std::lower_bound(participants.begin(), participants.end(), client) -
+        participants.begin());
+  };
+  std::vector<double> send_time(participants.size(), 0.0);
+  ArrivalTracker tracker(static_cast<int>(participants.size()));
 
   // Semi-async: tier assignment from the persistent EWMA speed estimates.
   // Unknown clients predict +inf and sort into the trailing tiers; the
   // all-unknown first wave falls back to client-index chunking.
-  std::vector<int> tier_of(static_cast<size_t>(num_clients_), -1);
+  std::vector<int> tier_of;  // per participant slot
   std::vector<int> tier_pending;
   std::vector<std::vector<UpdateApplication>> tier_buffer;
   if (config_.policy == RoundPolicy::kSemiAsync) {
     std::vector<double> expected;
-    expected.reserve(outcome.participants.size());
-    for (int c : outcome.participants) {
+    expected.reserve(participants.size());
+    for (int c : participants) {
       expected.push_back(speed_[static_cast<size_t>(c)].Predict());
     }
-    const std::vector<int> assign =
-        AssignTiers(expected, config_.semi_async_tiers);
+    tier_of = AssignTiers(expected, config_.semi_async_tiers);
     tier_pending.assign(static_cast<size_t>(config_.semi_async_tiers), 0);
     tier_buffer.assign(static_cast<size_t>(config_.semi_async_tiers), {});
-    for (size_t i = 0; i < outcome.participants.size(); ++i) {
-      tier_of[static_cast<size_t>(outcome.participants[i])] = assign[i];
-      ++tier_pending[static_cast<size_t>(assign[i])];
-    }
+    for (int tier : tier_of) ++tier_pending[static_cast<size_t>(tier)];
     if (config_.record_trace) {
-      for (size_t i = 0; i < outcome.participants.size(); ++i) {
+      for (size_t i = 0; i < participants.size(); ++i) {
         char buf[64];
         std::snprintf(buf, sizeof(buf), "round=%d tier c=%d tier=%d", round,
-                      outcome.participants[i], assign[i]);
+                      participants[i], tier_of[i]);
         TraceLine(buf);
       }
     }
@@ -358,9 +357,16 @@ RoundOutcome FederatedRuntime::ExecuteRound(
 
   // 2. Discrete-event simulation of broadcast -> train -> upload.
   EventQueue queue(MixKey(config_.seed, static_cast<uint64_t>(round) + 1));
-  for (int c : outcome.participants) {
-    SendBroadcast(&queue, &outcome, round, c, 0, now_,
-                  broadcast_bytes[static_cast<size_t>(c)]);
+  // A semi-async tier is flushed once its last member resolved (arrived,
+  // or lost for good).
+  auto resolve_tier_member = [&](size_t slot, double time) {
+    const int tier = tier_of[slot];
+    if (--tier_pending[static_cast<size_t>(tier)] == 0) {
+      queue.Schedule(time, EventKind::kTierFlush, tier, 0);
+    }
+  };
+  for (int c : participants) {
+    SendBroadcast(&queue, &outcome, round, c, 0, now_, broadcast_bytes[c]);
   }
   double last_event_time = now_;
   int applications = 0;    // kAsync: applied updates; kSemiAsync: tiers
@@ -368,19 +374,21 @@ RoundOutcome FederatedRuntime::ExecuteRound(
   double quorum_time = -1.0;
   while (!queue.empty()) {
     const SimEvent ev = queue.Pop();
+    ++outcome.events;
     last_event_time = std::max(last_event_time, ev.time);
     Trace(round, ev);
-    const size_t c = static_cast<size_t>(ev.client);
+    // A tier flush carries its tier id in the client field.
+    const size_t slot =
+        ev.kind == EventKind::kTierFlush ? 0 : slot_of(ev.client);
     switch (ev.kind) {
-      case EventKind::kDownlinkArrive: {
-        const double finish =
-            ev.time + train_seconds[c] * faults_.Slowdown(ev.client);
-        SendUpload(&queue, &outcome, round, ev.client, 0, finish,
-                   upload_bytes);
+      case EventKind::kDownlinkArrive:
+        send_time[slot] = ev.time + train_seconds[ev.client] *
+                                        faults_.Slowdown(ev.client);
+        SendUpload(&queue, &outcome, round, ev.client, 0, send_time[slot],
+                   upload_bytes[ev.client]);
         break;
-      }
       case EventKind::kUploadArrive:
-        if (!tracker_.Arrive(ev.client, ev.time)) {
+        if (!tracker.Arrive(static_cast<int>(slot), ev.time)) {
           ++outcome.duplicate_deliveries;
           break;
         }
@@ -397,15 +405,12 @@ RoundOutcome FederatedRuntime::ExecuteRound(
             quorum_time = ev.time;
           }
         } else if (config_.policy == RoundPolicy::kSemiAsync) {
-          const int tier = tier_of[c];
           UpdateApplication u;
           u.client = ev.client;
-          u.tier = tier;
+          u.tier = tier_of[slot];
           u.arrival_s = ev.time;
-          tier_buffer[static_cast<size_t>(tier)].push_back(u);
-          if (--tier_pending[static_cast<size_t>(tier)] == 0) {
-            queue.Schedule(ev.time, EventKind::kTierFlush, tier, 0);
-          }
+          tier_buffer[static_cast<size_t>(u.tier)].push_back(u);
+          resolve_tier_member(slot, ev.time);
         }
         break;
       case EventKind::kUploadLost:
@@ -414,24 +419,22 @@ RoundOutcome FederatedRuntime::ExecuteRound(
           // The sender times out waiting for the server ack and
           // retransmits with exponential backoff.
           const double resend = std::max(
-              ev.time, send_time_[c] + config_.retry_timeout_s *
-                                           std::pow(config_.backoff_factor,
-                                                    ev.attempt));
+              ev.time, send_time[slot] + config_.retry_timeout_s *
+                                             std::pow(config_.backoff_factor,
+                                                      ev.attempt));
           queue.Schedule(resend, EventKind::kRetrySend, ev.client,
                          ev.attempt + 1);
         } else {
           ++outcome.lost_updates;
           if (config_.policy == RoundPolicy::kSemiAsync) {
-            const int tier = tier_of[c];
-            if (--tier_pending[static_cast<size_t>(tier)] == 0) {
-              queue.Schedule(ev.time, EventKind::kTierFlush, tier, 0);
-            }
+            resolve_tier_member(slot, ev.time);
           }
         }
         break;
       case EventKind::kRetrySend:
+        send_time[slot] = ev.time;
         SendUpload(&queue, &outcome, round, ev.client, ev.attempt, ev.time,
-                   upload_bytes);
+                   upload_bytes[ev.client]);
         break;
       case EventKind::kDownlinkLost:
         if (ev.attempt < config_.max_refetches) {
@@ -453,21 +456,18 @@ RoundOutcome FederatedRuntime::ExecuteRound(
           // must not wait for an upload that can never happen.
           ++outcome.lost_broadcasts;
           if (config_.policy == RoundPolicy::kSemiAsync) {
-            const int tier = tier_of[c];
-            if (--tier_pending[static_cast<size_t>(tier)] == 0) {
-              queue.Schedule(ev.time, EventKind::kTierFlush, tier, 0);
-            }
+            resolve_tier_member(slot, ev.time);
           }
         }
         break;
       case EventKind::kRefetch:
         SendBroadcast(&queue, &outcome, round, ev.client, ev.attempt, ev.time,
-                      broadcast_bytes[c]);
+                      broadcast_bytes[ev.client]);
         break;
       case EventKind::kTierFlush: {
         // Aggregate the tier as a mini-batch: every buffered member gets
         // the same per-tier staleness (= tiers applied before this one).
-        auto& batch = tier_buffer[c];
+        auto& batch = tier_buffer[static_cast<size_t>(ev.client)];
         if (batch.empty()) break;  // all members lost: nothing to apply
         for (UpdateApplication& u : batch) {
           u.staleness = applications;
@@ -506,22 +506,21 @@ RoundOutcome FederatedRuntime::ExecuteRound(
     // the deadline at the *root* arrival.
     std::vector<TreeArrival> arrivals;
     double agg_msg_bytes = 0.0;
-    for (int c : outcome.participants) {
-      agg_msg_bytes =
-          std::max(agg_msg_bytes, upload_bytes[static_cast<size_t>(c)]);
-      if (tracker_.arrived(c)) {
-        arrivals.push_back({c, tracker_.arrival_time(c)});
+    for (size_t i = 0; i < participants.size(); ++i) {
+      const int c = participants[i];
+      agg_msg_bytes = std::max(agg_msg_bytes, upload_bytes[c]);
+      if (tracker.arrived(static_cast<int>(i))) {
+        arrivals.push_back({c, tracker.arrival_time(static_cast<int>(i))});
       }
     }
     const TreeDelivery td =
         tree_.Route(round, arrivals, agg_msg_bytes,
                     config_.record_trace ? &trace_ : nullptr);
     outcome.hop_bytes = td.hop_bytes;
-    for (int c : outcome.participants) {
-      outcome.hop_bytes[0] += upload_bytes[static_cast<size_t>(c)];
-    }
+    for (int c : participants) outcome.hop_bytes[0] += upload_bytes[c];
     outcome.aggregator_crashes = td.aggregator_crashes;
     outcome.subtree_lost_updates = td.subtree_lost;
+    outcome.events += static_cast<uint64_t>(td.forwards);
     double last_root_arrival = last_event_time;
     for (size_t i = 0; i < td.delivered.size(); ++i) {
       if (config_.policy == RoundPolicy::kDeadline &&
@@ -536,37 +535,33 @@ RoundOutcome FederatedRuntime::ExecuteRound(
                              ? deadline
                              : last_root_arrival;
   } else {
-    for (int c : outcome.participants) {
-      if (!tracker_.arrived(c)) continue;
+    for (size_t i = 0; i < participants.size(); ++i) {
+      const int slot = static_cast<int>(i);
+      if (!tracker.arrived(slot)) continue;
       if (config_.policy == RoundPolicy::kDeadline &&
-          tracker_.arrival_time(c) > deadline) {
+          tracker.arrival_time(slot) > deadline) {
         ++outcome.late_updates;
         continue;
       }
-      outcome.delivered.push_back(c);
+      outcome.delivered.push_back(participants[i]);
     }
     outcome.end_time_s = config_.policy == RoundPolicy::kDeadline
                              ? deadline
                              : last_event_time;
   }
-  outcome.duplicate_deliveries += tracker_.duplicates();
+  outcome.duplicate_deliveries += tracker.duplicates();
 
   // 4. Post-round estimator updates, in client index order (determinism).
-  if (config_.policy == RoundPolicy::kSemiAsync) {
-    for (int c : outcome.participants) {
-      if (tracker_.arrived(c)) {
-        speed_[static_cast<size_t>(c)].Observe(tracker_.arrival_time(c) -
-                                               outcome.start_time_s);
-      }
+  for (size_t i = 0; i < participants.size(); ++i) {
+    const int slot = static_cast<int>(i);
+    if (!tracker.arrived(slot)) continue;
+    const double offset = tracker.arrival_time(slot) - outcome.start_time_s;
+    if (config_.policy == RoundPolicy::kSemiAsync) {
+      speed_[static_cast<size_t>(participants[i])].Observe(offset);
     }
-  }
-  if (config_.policy == RoundPolicy::kDeadline &&
-      config_.adaptive_deadline_quantile > 0.0) {
-    for (int c : outcome.participants) {
-      if (tracker_.arrived(c)) {
-        arrival_quantile_.Add(tracker_.arrival_time(c) -
-                              outcome.start_time_s);
-      }
+    if (config_.policy == RoundPolicy::kDeadline &&
+        config_.adaptive_deadline_quantile > 0.0) {
+      arrival_quantile_.Add(offset);
     }
   }
 

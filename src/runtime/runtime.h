@@ -96,10 +96,11 @@ struct RuntimeConfig {
   /// graph per epoch (scaled by the client's straggler slowdown).
   double train_seconds_per_graph = 0.0;
 
-  /// Sampled participation: fraction of alive clients invited per round
-  /// (seeded per-round sampling). 1.0 invites everyone — the passthrough
-  /// default, bit-identical to the pre-sampling runtime.
-  double participation_fraction = 1.0;
+  /// Sampled participation: clients invited per round, drawn from the
+  /// alive fleet with Floyd's O(k) sampler (seeded per round), so a round
+  /// costs memory in its cohort, not in the fleet. 0 invites every alive
+  /// client — the passthrough default.
+  int clients_per_round = 0;
 
   /// Hierarchical aggregation topology (edge -> regional -> root). The
   /// default flat topology (edge_fanout == 0) leaves the round untouched.
@@ -192,17 +193,29 @@ struct RoundOutcome {
   /// Real on-wire downlink bytes this round: every broadcast copy that
   /// left the server, including re-fetch re-sends and lost copies.
   double downlink_wire_bytes = 0.0;
+  /// Events the scheduler ran this round plus one per interior tree
+  /// forward. A lossless participant costs two: its broadcast arrival and
+  /// its upload arrival.
+  uint64_t events = 0;
 };
 
 /// \brief Deterministic discrete-event federated round executor.
 ///
-/// FederatedSimulator drives one ExecuteRound call per federated round:
-/// the runtime decides who participates (crash/rejoin), prices the model
-/// broadcast and every layer-update upload through the per-link network
-/// model from serialized message sizes, injects stragglers and losses, and
-/// applies the server's round policy. It simulates *timing and delivery*
-/// only — the actual training/aggregation math stays in the simulator, so
-/// the passthrough configuration leaves results bit-identical.
+/// FederatedSimulator and the lazy million-client ScaleSimulator each
+/// drive one ExecuteRound call per federated round: the runtime decides
+/// who participates (crash/rejoin, sampled cohort, over-selection), prices
+/// the model broadcast and every layer-update upload through the per-link
+/// network model from serialized message sizes, injects stragglers and
+/// losses, routes arrivals through the aggregation tree, and applies the
+/// server's round policy. It simulates *timing and delivery* only — the
+/// actual training/aggregation math stays in the drivers, so the
+/// passthrough configuration leaves results bit-identical.
+///
+/// Memory: round scratch is indexed by participant. Per-client state
+/// exists only where a feature needs it — crash rejoin windows when a
+/// fault profile can crash, speed estimates under the semi-async policy —
+/// so with uniform costs and a sampled cohort a round costs O(cohort)
+/// whatever num_clients is.
 ///
 /// Determinism: the scheduler is strictly serial and every stochastic draw
 /// is counter-based (pure function of seed and the draw's identity), so
@@ -229,6 +242,11 @@ class FederatedRuntime {
                             const std::vector<double>& upload_bytes,
                             const std::vector<double>& train_seconds);
 
+  /// Uniform form: every client costs the same, so no per-client vector
+  /// is built (the lazy driver's million-client fleets).
+  RoundOutcome ExecuteRound(int round, double broadcast_bytes,
+                            double upload_bytes, double train_seconds);
+
   /// Simulated wall-clock after the last executed round.
   double now() const { return now_; }
 
@@ -237,10 +255,29 @@ class FederatedRuntime {
 
   const RuntimeConfig& config() const { return config_; }
 
+  /// The aggregation tree the runtime routes uploads through; drivers
+  /// reduce delivered updates along it.
+  const AggregationTree& tree() const { return tree_; }
+
  private:
+  /// One per-client round cost: one value per client, or one shared value.
+  struct Cost {
+    Cost(double all) : per_client(nullptr), uniform(all) {}
+    Cost(const std::vector<double>& each) : per_client(&each), uniform(0) {}
+    double operator[](int client) const {
+      return per_client != nullptr
+                 ? (*per_client)[static_cast<size_t>(client)]
+                 : uniform;
+    }
+    const std::vector<double>* per_client;
+    double uniform;
+  };
+
+  RoundOutcome Execute(int round, Cost broadcast_bytes, Cost upload_bytes,
+                       Cost train_seconds);
   void SendUpload(EventQueue* queue, RoundOutcome* outcome, int round,
                   int client, int attempt, double send_time,
-                  const std::vector<double>& upload_bytes);
+                  double upload_bytes);
   /// Prices one broadcast copy and schedules its arrival (or its loss,
   /// when the downlink's loss draw fires).
   void SendBroadcast(EventQueue* queue, RoundOutcome* outcome, int round,
@@ -259,10 +296,8 @@ class FederatedRuntime {
   Rng select_rng_;
   double now_ = 0.0;
   std::vector<std::string> trace_;
-  // Per-round scratch (indexed by client).
-  std::vector<double> send_time_;
-  ArrivalTracker tracker_;
-  // Semi-async persistent per-client round-trip-time estimates.
+  // Semi-async persistent per-client round-trip-time estimates (empty
+  // under every other policy).
   std::vector<EwmaSpeed> speed_;
   // Deadline policy: running quantile of arrival offsets (adaptive tuning).
   RunningQuantile arrival_quantile_;

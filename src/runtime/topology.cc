@@ -25,17 +25,13 @@ Status ValidateTreeTopology(const TreeTopologyConfig& config) {
     return Status::InvalidArgument(
         "topology: aggregator_rejoin_rounds must be >= 1");
   }
-  for (const LinkModel* link : {&config.edge_up, &config.regional_up}) {
-    if (link->latency_s < 0.0 || link->bandwidth_bps < 0.0 ||
-        link->jitter_s < 0.0) {
-      return Status::InvalidArgument(
-          "topology: interior latency/bandwidth/jitter must be >= 0");
-    }
-    if (link->loss_prob != 0.0) {
-      return Status::InvalidArgument(
-          "topology: interior links are reliable (loss_prob must be 0; "
-          "model interior failure via aggregator_crash_prob)");
-    }
+  FEXIOT_RETURN_NOT_OK(ValidateLinkModel(config.edge_up, "topology edge_up"));
+  FEXIOT_RETURN_NOT_OK(
+      ValidateLinkModel(config.regional_up, "topology regional_up"));
+  if (config.edge_up.loss_prob != 0.0 || config.regional_up.loss_prob != 0.0) {
+    return Status::InvalidArgument(
+        "topology: interior links are reliable (loss_prob must be 0; "
+        "model interior failure via aggregator_crash_prob)");
   }
   return Status::OK();
 }
@@ -160,7 +156,7 @@ TreeDelivery AggregationTree::Route(int round,
       fwd.first = i;
       fwd.last = j;
       out.hop_bytes[1] += agg_msg_bytes;
-      ++out.edge_forwards;
+      ++out.forwards;
       TraceForward(trace, round, 0, edge, members, fwd.arrive_s);
       edge_forwards.push_back(fwd);
     }
@@ -172,7 +168,6 @@ TreeDelivery AggregationTree::Route(int round,
       out.delivered.push_back(arrivals[k].client);
       out.root_arrival_s.push_back(root_arrival);
     }
-    out.last_arrival_s = std::max(out.last_arrival_s, root_arrival);
   };
 
   if (config_.regional_fanout <= 0) {
@@ -206,7 +201,7 @@ TreeDelivery AggregationTree::Route(int round,
           latest +
           InteriorTransferSeconds(round, 1, regional, agg_msg_bytes);
       out.hop_bytes[2] += agg_msg_bytes;
-      ++out.regional_forwards;
+      ++out.forwards;
       TraceForward(trace, round, 1, regional, members, root_arrival);
       for (size_t k = e; k < f; ++k) {
         deliver_range(edge_forwards[k].first, edge_forwards[k].last,
@@ -216,6 +211,44 @@ TreeDelivery AggregationTree::Route(int round,
     e = f;
   }
   return out;
+}
+
+StreamingAccumulator AggregationTree::Accumulate(
+    const std::vector<int>& clients,
+    const std::function<void(size_t, StreamingAccumulator*)>& add) const {
+  StreamingAccumulator root;
+  if (!enabled()) {
+    for (size_t i = 0; i < clients.size(); ++i) add(i, &root);
+    return root;
+  }
+  const bool regional_tier = depth() == 3;
+  StreamingAccumulator regional, edge;
+  StreamingAccumulator& edge_parent = regional_tier ? regional : root;
+  int cur_edge = -1;
+  int cur_regional = -1;
+  for (size_t i = 0; i < clients.size(); ++i) {
+    const int e = EdgeOf(clients[i]);
+    if (e != cur_edge) {
+      // Fold the finished edge into its parent before checking for a
+      // regional boundary.
+      if (cur_edge >= 0) {
+        edge_parent.Merge(edge);
+        edge = StreamingAccumulator();
+      }
+      if (regional_tier && RegionalOf(e) != cur_regional) {
+        if (cur_regional >= 0) {
+          root.Merge(regional);
+          regional = StreamingAccumulator();
+        }
+        cur_regional = RegionalOf(e);
+      }
+      cur_edge = e;
+    }
+    add(i, &edge);
+  }
+  if (cur_edge >= 0) edge_parent.Merge(edge);
+  if (cur_regional >= 0) root.Merge(regional);
+  return root;
 }
 
 }  // namespace fexiot

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -99,13 +101,13 @@ struct TreeDelivery {
   int aggregator_crashes = 0;
   /// Arrived updates dropped because an aggregator on their path crashed.
   int subtree_lost = 0;
-  int edge_forwards = 0;
-  int regional_forwards = 0;
-  double last_arrival_s = 0.0;
+  /// Interior forwards sent (edge and regional aggregators).
+  int forwards = 0;
 };
 
-/// \brief Deterministic aggregation-tree router shared by the classic
-/// discrete-event runtime and the million-client scale simulator.
+/// \brief Deterministic aggregation tree: the runtime routes a round's
+/// arrivals through it (Route), and a driver reduces the delivered updates
+/// along the same edge/regional grouping (Accumulate).
 ///
 /// Node mapping is static: client c reports to edge c / edge_fanout, edge
 /// e to regional e / regional_fanout. An aggregator forwards once every
@@ -136,6 +138,17 @@ class AggregationTree {
   TreeDelivery Route(int round, const std::vector<TreeArrival>& arrivals,
                      double agg_msg_bytes,
                      std::vector<std::string>* trace) const;
+
+  /// Streams updates up the tree tier by tier: \p add(i, acc) folds the
+  /// update of \p clients[i] into its edge aggregator's accumulator, each
+  /// finished edge merges into its regional aggregator (depth 3) or the
+  /// root, each finished regional into the root. \p clients must be
+  /// ascending, which makes every group a contiguous run, so only one
+  /// accumulator per tier is live. Under the flat topology every update
+  /// is added straight into the root in order. Returns the root.
+  StreamingAccumulator Accumulate(
+      const std::vector<int>& clients,
+      const std::function<void(size_t, StreamingAccumulator*)>& add) const;
 
   const TreeTopologyConfig& config() const { return config_; }
 

@@ -48,7 +48,7 @@ Status ValidateServingConfig(const ServingConfig& config) {
 
 StreamingDetectionEngine::StreamingDetectionEngine(const GnnModel* model,
                                                    const ServingConfig& config)
-    : model_(model), config_(config), gnn_config_(model->config()) {
+    : model_(model), config_(config) {
   assert(model_ != nullptr);
   assert(ValidateServingConfig(config_).ok());
 }
@@ -76,7 +76,7 @@ Status StreamingDetectionEngine::AddHome(int home_id, const Home& home) {
   HomeState& hs = homes_.back();
   home_index_[home_id] = homes_.size() - 1;
   hs.home = home;
-  hs.delta = DeltaPropagation(gnn_config_.type == GnnType::kGin);
+  hs.delta = DeltaPropagation(model_->config().type == GnnType::kGin);
   const size_t n = home.rules.size();
   // Fixed node universe: every deployed rule is a node from day one
   // (never-fired rules stay isolated self-loop-only nodes), so the CSR
@@ -97,7 +97,7 @@ Status StreamingDetectionEngine::AddHome(int home_id, const Home& home) {
   }
   hs.rules.assign(n, RuleStats());
   hs.clock = kNegInf;
-  hs.prepared = PrepareGraph(hs.graph, gnn_config_);
+  hs.prepared = PrepareGraph(hs.graph, model_->config());
   hs.relational_dirty = true;  // first snapshot runs the augmentation
   return Status::OK();
 }
@@ -348,7 +348,7 @@ void StreamingDetectionEngine::PrepareForSnapshot(HomeState* hs) {
   }
   if (config_.verify_incremental) {
     ++stats_.parity_checks;
-    const PreparedGraph oracle = PrepareGraph(hs->graph, gnn_config_);
+    const PreparedGraph oracle = PrepareGraph(hs->graph, model_->config());
     const CsrMatrix& inc = hs->prepared.prop_csr;
     const CsrMatrix& ref = oracle.prop_csr;
     bool same = inc.row_ptr() == ref.row_ptr() &&
@@ -375,7 +375,7 @@ void StreamingDetectionEngine::PrepareForSnapshot(HomeState* hs) {
       config_.rebuild_churn_fraction *
       static_cast<double>(std::max<size_t>(1, hs->prepared.prop_csr.nnz()));
   if (static_cast<double>(hs->churn_since_rebuild) > threshold) {
-    hs->prepared = PrepareGraph(hs->graph, gnn_config_);
+    hs->prepared = PrepareGraph(hs->graph, model_->config());
     hs->churn_since_rebuild = 0;
     ++stats_.rebuilds;
   }
@@ -458,7 +458,7 @@ void StreamingDetectionEngine::Dispatch(
   std::vector<const PreparedGraph*> graphs;
   graphs.reserve(size);
   for (const PendingRequest& p : pending_) graphs.push_back(&slots_[p.slot]);
-  AssembleGraphBatch(graphs, gnn_config_, &batch_);
+  AssembleGraphBatch(graphs, model_->config(), &batch_);
   Stopwatch sw;
   model_->ForwardBatch(batch_, &batch_ws_, &batch_embeddings_);
   const double wall = sw.ElapsedSeconds();
@@ -491,7 +491,7 @@ const PreparedGraph* StreamingDetectionEngine::prepared(int home_id) const {
 PreparedGraph StreamingDetectionEngine::RebuildPrepared(int home_id) const {
   const HomeState* hs = Find(home_id);
   assert(hs != nullptr);
-  return PrepareGraph(hs->graph, gnn_config_);
+  return PrepareGraph(hs->graph, model_->config());
 }
 
 const InteractionGraph* StreamingDetectionEngine::graph(int home_id) const {

@@ -199,7 +199,6 @@ class StreamingDetectionEngine {
 
   const GnnModel* model_;
   ServingConfig config_;
-  GnnConfig gnn_config_;  ///< the model's config
   std::unordered_map<int, size_t> home_index_;
   std::deque<HomeState> homes_;  ///< stable addresses under growth
 

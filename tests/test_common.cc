@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/parallel.h"
 #include "common/result.h"
 #include "common/rng.h"
@@ -136,6 +137,21 @@ TEST(Rng, SampleWithoutReplacementDistinct) {
   std::set<size_t> s(idx.begin(), idx.end());
   EXPECT_EQ(s.size(), 10u);
   for (size_t v : idx) EXPECT_LT(v, 20u);
+}
+
+TEST(Rng, SampleSortedIsAscendingDistinctAndReproducible) {
+  // Floyd's sampler: a small ascending cohort out of a huge population,
+  // reproducible from the seed; k >= n returns the whole population.
+  Rng rng(11);
+  const std::vector<uint64_t> v = rng.SampleSorted(uint64_t{1} << 40, 50);
+  ASSERT_EQ(v.size(), 50u);
+  for (size_t i = 1; i < v.size(); ++i) EXPECT_LT(v[i - 1], v[i]);
+  EXPECT_LT(v.back(), uint64_t{1} << 40);
+  Rng again(11);
+  EXPECT_EQ(again.SampleSorted(uint64_t{1} << 40, 50), v);
+  Rng all(3);
+  EXPECT_EQ(all.SampleSorted(5, 9), (std::vector<uint64_t>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(all.SampleSorted(5, 0).empty());
 }
 
 TEST(Rng, ShuffleIsPermutation) {

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -285,6 +286,10 @@ TEST(RuntimeConfig, RejectsOutOfRangeKnobs) {
   EXPECT_TRUE(bad([](RuntimeConfig* c) {
     c->up_links.resize(3);
     c->up_links[2].bandwidth_bps = -5.0;
+  }));
+  EXPECT_TRUE(bad([](RuntimeConfig* c) { c->clients_per_round = -1; }));
+  EXPECT_TRUE(bad([](RuntimeConfig* c) {
+    c->clients_per_round = std::numeric_limits<int>::min();
   }));
 }
 
@@ -1036,6 +1041,128 @@ TEST(FederatedRuntime, DeadlineSelectionNeverInvitesTwice) {
       EXPECT_LT(out.participants[i - 1], out.participants[i])
           << "round " << r << " selected a client twice";
     }
+  }
+}
+
+TEST(FederatedRuntime, SampledCohortHasRequestedSizeAndIsStable) {
+  // clients_per_round draws a fresh cohort from the fleet every round:
+  // exactly k clients, ascending and distinct, and the same on rerun.
+  const int n = 1000;
+  const size_t k = 37;
+  RuntimeConfig c;
+  c.clients_per_round = static_cast<int>(k);
+  auto run = [&] {
+    FederatedRuntime rt(c, n);
+    std::vector<std::vector<int>> cohorts;
+    for (int r = 0; r < 4; ++r) {
+      const RoundOutcome out = rt.ExecuteRound(r, 64.0, 64.0, 0.0);
+      EXPECT_EQ(out.delivered, out.participants);
+      // Broadcast arrival + upload arrival per lossless participant.
+      EXPECT_EQ(out.events, 2 * k);
+      cohorts.push_back(out.participants);
+    }
+    return cohorts;
+  };
+  const std::vector<std::vector<int>> first = run();
+  for (const std::vector<int>& cohort : first) {
+    ASSERT_EQ(cohort.size(), k);
+    for (size_t i = 1; i < cohort.size(); ++i) {
+      EXPECT_LT(cohort[i - 1], cohort[i]);
+    }
+    EXPECT_GE(cohort.front(), 0);
+    EXPECT_LT(cohort.back(), n);
+  }
+  EXPECT_NE(first[0], first[1]);  // a fresh draw each round
+  EXPECT_EQ(run(), first);
+
+  // A cohort at least as large as the fleet invites everyone.
+  c.clients_per_round = n + 5;
+  FederatedRuntime everyone(c, n);
+  EXPECT_EQ(everyone.ExecuteRound(0, 64.0, 64.0, 0.0).participants.size(),
+            static_cast<size_t>(n));
+}
+
+TEST(FederatedRuntime, SampledCohortIsDrawnFromAliveClients) {
+  // With crash faults the cohort is drawn from the clients alive this
+  // round — the set an unsampled runtime with the same seed invites.
+  const int n = 40;
+  RuntimeConfig c;
+  c.default_fault.crash_prob = 0.3;
+  c.default_fault.rejoin_rounds = 2;
+  RuntimeConfig sampled = c;
+  sampled.clients_per_round = 10;
+  FederatedRuntime all_rt(c, n), sampled_rt(sampled, n);
+  const std::vector<double> up(n, 64.0), train(n, 0.0);
+  for (int r = 0; r < 6; ++r) {
+    const std::vector<int> alive =
+        all_rt.ExecuteRound(r, 64.0, up, train).participants;
+    const std::vector<int> cohort =
+        sampled_rt.ExecuteRound(r, 64.0, up, train).participants;
+    EXPECT_EQ(cohort.size(), std::min<size_t>(10, alive.size()));
+    EXPECT_TRUE(std::includes(alive.begin(), alive.end(), cohort.begin(),
+                              cohort.end()))
+        << "round " << r << " sampled a crashed client";
+  }
+}
+
+TEST(FederatedRuntime, DeadlineOverSelectionAppliesToTheSampledCohort) {
+  // Over-selection sizes itself from the sampled cohort, not the fleet:
+  // ceil(0.5 * 1.2 * 20) = 12 of each round's 20 sampled clients.
+  const int n = 500;
+  RuntimeConfig c;
+  c.policy = RoundPolicy::kDeadline;
+  c.deadline_s = 10.0;
+  c.clients_per_round = 20;
+  c.target_fraction = 0.5;
+  c.over_selection = 1.2;
+  RuntimeConfig sync = c;
+  sync.policy = RoundPolicy::kSynchronous;
+  FederatedRuntime rt(c, n), cohort_rt(sync, n);
+  for (int r = 0; r < 4; ++r) {
+    const RoundOutcome out = rt.ExecuteRound(r, 64.0, 64.0, 0.0);
+    const std::vector<int> cohort =
+        cohort_rt.ExecuteRound(r, 64.0, 64.0, 0.0).participants;
+    ASSERT_EQ(cohort.size(), 20u);
+    ASSERT_EQ(out.participants.size(), 12u);
+    for (size_t i = 1; i < out.participants.size(); ++i) {
+      EXPECT_LT(out.participants[i - 1], out.participants[i]);
+    }
+    EXPECT_TRUE(std::includes(cohort.begin(), cohort.end(),
+                              out.participants.begin(),
+                              out.participants.end()));
+    EXPECT_EQ(out.delivered, out.participants);
+  }
+}
+
+TEST(FederatedRuntime, UniformCostsMatchPerClientVectors) {
+  // The uniform overload is the equal-vector special case, event for
+  // event: retries on a lossy flat fleet, and tree forwards.
+  const int n = 6;
+  RuntimeConfig retry;
+  retry.policy = RoundPolicy::kTimeoutRetry;
+  retry.default_up.loss_prob = 0.3;
+  RuntimeConfig tree;
+  tree.topology.edge_fanout = 2;
+  tree.topology.edge_up.latency_s = 0.2;
+  for (RuntimeConfig c : {retry, tree}) {
+    ASSERT_TRUE(ValidateRuntimeConfig(c).ok());
+    c.record_trace = true;
+    c.default_up.latency_s = 0.25;
+    c.default_up.bandwidth_bps = 1e4;
+    c.default_up.jitter_s = 0.1;
+    c.default_down.latency_s = 0.1;
+    FederatedRuntime uniform(c, n), vectors(c, n);
+    const std::vector<double> bytes(n, 512.0), train(n, 1.5);
+    for (int r = 0; r < 3; ++r) {
+      const RoundOutcome a = uniform.ExecuteRound(r, 512.0, 512.0, 1.5);
+      const RoundOutcome b = vectors.ExecuteRound(r, bytes, bytes, train);
+      EXPECT_EQ(a.delivered, b.delivered);
+      EXPECT_EQ(a.events, b.events);
+      EXPECT_EQ(a.hop_bytes, b.hop_bytes);
+      EXPECT_EQ(a.end_time_s, b.end_time_s);
+    }
+    EXPECT_FALSE(uniform.trace().empty());
+    EXPECT_EQ(uniform.trace(), vectors.trace());
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -205,7 +206,7 @@ TEST(ClientStateStore, LazyAndEagerReturnIdenticalStateAndTrackLiveness) {
 ScaleFlConfig SmallScaleConfig() {
   ScaleFlConfig cfg;
   cfg.num_clients = 40;
-  cfg.sample_per_round = 12;
+  cfg.runtime.clients_per_round = 12;
   cfg.num_rounds = 3;
   cfg.client.corpus = ShardOptions();
   cfg.client.graphs_per_client = 4;
@@ -253,14 +254,34 @@ TEST(ScaleSimulator, RejectsOutOfRangeConfig) {
     return !ScaleSimulator(c).Run().ok();
   };
   EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->num_clients = 0; }));
-  EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->sample_per_round = 0; }));
+  EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->runtime.clients_per_round = 0; }));
   EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->num_rounds = 0; }));
   EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->client.graphs_per_client = 1; }));
   EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->client.local_train_fraction = 1.0; }));
-  EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->deadline_s = -1.0; }));
-  EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->up_link.loss_prob = 1.0; }));
-  EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->topology.edge_fanout = -1; }));
-  EXPECT_TRUE(bad([](ScaleFlConfig* c) { c->topology.regional_fanout = 3; }));
+  EXPECT_TRUE(bad([](ScaleFlConfig* c) {
+    c->runtime.policy = RoundPolicy::kDeadline;  // needs deadline_s > 0
+  }));
+  EXPECT_TRUE(
+      bad([](ScaleFlConfig* c) { c->runtime.default_up.loss_prob = 1.0; }));
+  EXPECT_TRUE(
+      bad([](ScaleFlConfig* c) { c->runtime.topology.edge_fanout = -1; }));
+  EXPECT_TRUE(
+      bad([](ScaleFlConfig* c) { c->runtime.topology.regional_fanout = 3; }));
+}
+
+TEST(ScaleSimulator, RejectsFleetsBeyondIntClientIds) {
+  // Runtime client ids are int: a larger fleet is rejected with a Status,
+  // never truncated.
+  ScaleFlConfig cfg = SmallScaleConfig();
+  cfg.num_clients = static_cast<uint64_t>(INT_MAX) + 1;
+  EXPECT_EQ(ValidateScaleConfig(cfg).code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(ScaleSimulator(cfg).Run().ok());
+  // INT_MAX itself runs: nothing in a round is sized by the fleet.
+  cfg.num_clients = INT_MAX;
+  cfg.num_rounds = 1;
+  const Result<ScaleFlResult> res = ScaleSimulator(cfg).Run();
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_EQ(res.value().rounds[0].participants, 12);
 }
 
 TEST(ScaleSimulator, LazyMatchesEagerBitExactly) {
@@ -289,7 +310,7 @@ TEST(ScaleSimulator, ThreadCountAndRerunKeepResultsBitIdentical) {
   EXPECT_EQ(RoundsDigest(r4), RoundsDigest(again));
   // A different seed moves the result.
   ScaleFlConfig other = SmallScaleConfig();
-  other.seed = 1234;
+  other.runtime.seed = 1234;
   EXPECT_NE(ScaleSimulator(other).Run().value().global_fingerprint,
             r1.global_fingerprint);
 }
@@ -297,7 +318,7 @@ TEST(ScaleSimulator, ThreadCountAndRerunKeepResultsBitIdentical) {
 TEST(ScaleSimulator, WireCodecShrinksHopBytesAndStaysThreadDeterministic) {
   ScaleFlConfig fp64_cfg = SmallScaleConfig();
   ScaleFlConfig int8_cfg = SmallScaleConfig();
-  int8_cfg.wire_codec = WireCodec::kInt8;
+  int8_cfg.runtime.wire_codec = WireCodec::kInt8;
   const ScaleFlResult fp64 = ScaleSimulator(fp64_cfg).Run().value();
   const ScaleFlResult int8 = ScaleSimulator(int8_cfg).Run().value();
   // Every priced hop carries the quantized record, so each tier's bytes
@@ -333,7 +354,7 @@ TEST(ScaleSimulator, SampledParticipationAndLazyAccountingHold) {
     EXPECT_EQ(r.delivered, 12);  // reliable links, no tree
     ASSERT_EQ(r.hop_bytes.size(), 1u);
     EXPECT_GT(r.hop_bytes[0], 0.0);
-    EXPECT_EQ(r.events, 36u);  // 3 events per participant, flat topology
+    EXPECT_EQ(r.events, 24u);  // 2 events per participant, flat topology
   }
   // 3 rounds x 12 participants + 5 eval acquisitions; never more live
   // state than worker threads.
@@ -356,9 +377,9 @@ TEST(ScaleSimulator, SampledParticipationAndLazyAccountingHold) {
 TEST(ScaleSimulator, TreeMatchesFlatWithinMergeTolerance) {
   ScaleFlConfig flat_cfg = SmallScaleConfig();
   ScaleFlConfig tree_cfg = flat_cfg;
-  tree_cfg.topology.edge_fanout = 4;
-  tree_cfg.topology.regional_fanout = 3;
-  tree_cfg.topology.edge_up.latency_s = 0.5;
+  tree_cfg.runtime.topology.edge_fanout = 4;
+  tree_cfg.runtime.topology.regional_fanout = 3;
+  tree_cfg.runtime.topology.edge_up.latency_s = 0.5;
   const ScaleFlResult flat = ScaleSimulator(flat_cfg).Run().value();
   const ScaleFlResult tree = ScaleSimulator(tree_cfg).Run().value();
   // Same participants and deliveries; the tree only reassociates the
@@ -370,7 +391,7 @@ TEST(ScaleSimulator, TreeMatchesFlatWithinMergeTolerance) {
     ASSERT_EQ(tree.rounds[r].hop_bytes.size(), 3u);
     EXPECT_GT(tree.rounds[r].hop_bytes[1], 0.0);
     EXPECT_GT(tree.rounds[r].hop_bytes[2], 0.0);
-    // Interior forwards add events on top of the flat 3-per-participant.
+    // Interior forwards add events on top of the flat 2-per-participant.
     EXPECT_GT(tree.rounds[r].events, flat.rounds[r].events);
   }
   ASSERT_EQ(flat.global_layers.size(), tree.global_layers.size());
@@ -397,12 +418,12 @@ TEST(ScaleSmoke, HundredThousandClientsSampledParticipation) {
   }
   ScaleFlConfig cfg = SmallScaleConfig();
   cfg.num_clients = 100000;
-  cfg.sample_per_round = 48;
+  cfg.runtime.clients_per_round = 48;
   cfg.num_rounds = 2;
   cfg.eval_clients = 4;
   cfg.threads = 0;  // all cores
-  cfg.topology.edge_fanout = 8;
-  cfg.topology.regional_fanout = 4;
+  cfg.runtime.topology.edge_fanout = 8;
+  cfg.runtime.topology.regional_fanout = 4;
   const ScaleFlResult res = ScaleSimulator(cfg).Run().value();
   ASSERT_EQ(res.rounds.size(), 2u);
   for (const ScaleRoundStats& r : res.rounds) {
@@ -412,6 +433,29 @@ TEST(ScaleSmoke, HundredThousandClientsSampledParticipation) {
   EXPECT_EQ(res.materializations, 2u * 48u + 4u);
   EXPECT_LT(res.peak_rss_mb, 1500.0) << "peak RSS must stay O(active "
                                         "clients), not O(total clients)";
+}
+
+// One million clients on the round engine: the runtime holds no
+// per-client state under uniform costs and a sampled cohort, so peak RSS
+// stays near the 100k smoke's instead of growing with the fleet (n-sized
+// runtime scratch alone would pass 32 MB).
+TEST(ScaleSmoke, MillionClientsStayFlat) {
+  if (std::getenv("FEXIOT_SLOW_TESTS") == nullptr) {
+    GTEST_SKIP() << "FEXIOT_SLOW_TESTS not set";
+  }
+  ScaleFlConfig cfg = SmallScaleConfig();
+  cfg.num_clients = 1000000;
+  cfg.runtime.clients_per_round = 64;
+  cfg.num_rounds = 2;
+  cfg.threads = 4;
+  const ScaleFlResult res = ScaleSimulator(cfg).Run().value();
+  ASSERT_EQ(res.rounds.size(), 2u);
+  for (const ScaleRoundStats& r : res.rounds) {
+    EXPECT_EQ(r.participants, 64);
+    EXPECT_EQ(r.delivered, 64);
+  }
+  EXPECT_LT(res.peak_rss_mb, 32.0) << "peak RSS must track the cohort, not "
+                                      "the fleet";
 }
 
 }  // namespace
