@@ -37,7 +37,7 @@ int main() {
   fc.local.margin = 3.0;
   fc.local.pairs_per_sample = 2.0;
 
-  TablePrinter table({"variant", "accuracy", "acc_std", "f1", "comm_MB",
+  TablePrinter table({"variant", "accuracy", "acc_std", "f1", "wire_MB",
                       "clusters", "cluster_align"});
   struct Row {
     const char* name;
@@ -62,7 +62,10 @@ int main() {
     }
     table.AddRow({row.name, Fmt(res.mean.accuracy), Fmt(res.accuracy_std),
                   Fmt(res.mean.f1),
-                  Fmt(res.total_comm_bytes / (1024.0 * 1024.0), 1),
+                  Fmt((res.total_uplink_wire_bytes +
+                       res.total_downlink_wire_bytes) /
+                          (1024.0 * 1024.0),
+                      1),
                   std::to_string(res.rounds.back().num_clusters),
                   Fmt(static_cast<double>(agree) / total, 2)});
   }

@@ -38,7 +38,6 @@ struct RuntimeRecord {
   double mean_delivered = 0.0;
   double sim_time_s = 0.0;
   double retransmit_kb = 0.0;
-  double comm_mb = 0.0;
   double mean_accuracy = 0.0;
   double wall_seconds = 0.0;
   /// Simulated seconds until mean accuracy first reached kTargetAccuracy
@@ -61,7 +60,6 @@ struct WireRecord {
   double slowdown = 1.0;
   double uplink_wire_mb = 0.0;
   double downlink_wire_mb = 0.0;
-  double comm_mb = 0.0;
   /// fp64 uplink bytes / this codec's uplink bytes (same scenario).
   double uplink_ratio_vs_fp64 = 1.0;
   double mean_accuracy = 0.0;
@@ -147,7 +145,6 @@ RuntimeRecord RunOne(const FederatedCorpus& corpus, const GnnConfig& gc,
   rec.mean_delivered /= res.rounds.size();
   rec.sim_time_s = res.total_sim_time_s;
   rec.retransmit_kb = res.total_retransmit_bytes / 1024.0;
-  rec.comm_mb = res.total_comm_bytes / (1024.0 * 1024.0);
   rec.mean_accuracy = res.mean.accuracy;
   rec.uplink_wire_mb = res.total_uplink_wire_bytes / (1024.0 * 1024.0);
   rec.downlink_wire_mb = res.total_downlink_wire_bytes / (1024.0 * 1024.0);
@@ -175,12 +172,12 @@ bool WriteWireJson(const std::string& path,
         f,
         "    {\"codec\": \"%s\", \"loss_prob\": %.2f, \"slowdown\": %.1f, "
         "\"uplink_wire_mb\": %.3f, \"downlink_wire_mb\": %.3f, "
-        "\"comm_mb\": %.3f, \"uplink_ratio_vs_fp64\": %.3f, "
+        "\"uplink_ratio_vs_fp64\": %.3f, "
         "\"mean_accuracy\": %.4f, \"acc_delta_vs_fp64\": %.4f, "
         "\"sim_time_s\": %.3f, \"time_to_acc_s\": %.3f, "
         "\"wall_seconds\": %.3f}%s\n",
         r.codec.c_str(), r.loss_prob, r.slowdown, r.uplink_wire_mb,
-        r.downlink_wire_mb, r.comm_mb, r.uplink_ratio_vs_fp64,
+        r.downlink_wire_mb, r.uplink_ratio_vs_fp64,
         r.mean_accuracy, r.acc_delta_vs_fp64, r.sim_time_s, r.time_to_acc_s,
         r.wall_seconds, i + 1 < records.size() ? "," : "");
   }
@@ -211,14 +208,15 @@ bool WriteJson(const std::string& path,
         "    {\"policy\": \"%s\", \"loss_prob\": %.2f, \"slowdown\": %.1f, "
         "\"rounds\": %d, \"mean_participants\": %.2f, "
         "\"mean_delivered\": %.2f, \"sim_time_s\": %.3f, "
-        "\"retransmit_kb\": %.1f, \"comm_mb\": %.3f, "
+        "\"retransmit_kb\": %.1f, \"uplink_wire_mb\": %.3f, "
+        "\"downlink_wire_mb\": %.3f, "
         "\"mean_accuracy\": %.4f, \"wall_seconds\": %.3f, "
         "\"time_to_acc_s\": %.3f, \"mean_staleness\": %.3f, "
         "\"staleness_hist\": [",
         r.policy.c_str(), r.loss_prob, r.slowdown, r.rounds,
         r.mean_participants, r.mean_delivered, r.sim_time_s, r.retransmit_kb,
-        r.comm_mb, r.mean_accuracy, r.wall_seconds, r.time_to_acc_s,
-        r.mean_staleness);
+        r.uplink_wire_mb, r.downlink_wire_mb, r.mean_accuracy, r.wall_seconds,
+        r.time_to_acc_s, r.mean_staleness);
     for (size_t b = 0; b < r.staleness_hist.size(); ++b) {
       std::fprintf(f, "%s%llu", b > 0 ? ", " : "",
                    static_cast<unsigned long long>(r.staleness_hist[b]));
@@ -264,7 +262,8 @@ int main(int argc, char** argv) {
   fc.min_cluster_size = 3;
 
   TablePrinter table({"policy", "loss", "straggler", "deliv/part", "sim_s",
-                      "t_acc_s", "stale", "retx_KB", "comm_MB", "acc"});
+                      "t_acc_s", "stale", "retx_KB", "up_MB", "down_MB",
+                      "acc"});
   std::vector<RuntimeRecord> records;
   for (RoundPolicy policy :
        {RoundPolicy::kSynchronous, RoundPolicy::kDeadline,
@@ -281,7 +280,9 @@ int main(int argc, char** argv) {
                       Fmt(rec.sim_time_s, 1),
                       rec.time_to_acc_s < 0.0 ? "-" : Fmt(rec.time_to_acc_s, 1),
                       Fmt(rec.mean_staleness, 2), Fmt(rec.retransmit_kb, 1),
-                      Fmt(rec.comm_mb, 2), Fmt(rec.mean_accuracy, 3)});
+                      Fmt(rec.uplink_wire_mb, 2),
+                      Fmt(rec.downlink_wire_mb, 2),
+                      Fmt(rec.mean_accuracy, 3)});
         records.push_back(rec);
       }
     }
@@ -324,7 +325,6 @@ int main(int argc, char** argv) {
       rec.slowdown = slowdown;
       rec.uplink_wire_mb = run.uplink_wire_mb;
       rec.downlink_wire_mb = run.downlink_wire_mb;
-      rec.comm_mb = run.comm_mb;
       rec.mean_accuracy = run.mean_accuracy;
       rec.sim_time_s = run.sim_time_s;
       rec.time_to_acc_s = run.time_to_acc_s;

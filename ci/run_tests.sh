@@ -13,6 +13,10 @@
 #    an RSS ceiling, and 1M clients on a 4-thread pool whose peak RSS must
 #    stay below 32 MB (the runtime allocates by the cohort, not the fleet);
 #  - a seeded Poisson serving soak against a p99 latency bound;
+#  - the end-to-end benchmark smoke (e2ebench/run.py --smoke): builds
+#    bench_e2e against the src/ libraries (into $CARGO_TARGET_DIR, or
+#    .bench_build by default) and checks that every workload's output
+#    digest is the same at 1 thread, at nproc threads and in a traced run;
 #  - a ThreadSanitizer pass over the concurrency-bearing binaries (thread
 #    pool / parallel facade / blocked GEMM incl. parallel PackB and pack
 #    reuse / SpMM row fan-out / corpus fan-out / federated rounds incl.
@@ -27,14 +31,14 @@ BUILD_DIR="${1:-build}"
 TSAN_DIR="${2:-build-tsan}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-echo "==> [1/6] configure + build (${BUILD_DIR})"
+echo "==> [1/7] configure + build (${BUILD_DIR})"
 cmake -B "${BUILD_DIR}" -S . >/dev/null
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
-echo "==> [2/6] full test suite"
+echo "==> [2/7] full test suite"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
-echo "==> [3/6] GEMM ISA dispatch sweep (FEXIOT_ISA=scalar/avx2/avx512)"
+echo "==> [3/7] GEMM ISA dispatch sweep (FEXIOT_ISA=scalar/avx2/avx512)"
 for isa in scalar avx2 avx512; do
   echo "    FEXIOT_ISA=${isa}"
   FEXIOT_ISA="${isa}" "${BUILD_DIR}/tests/test_kernels" \
@@ -42,17 +46,21 @@ for isa in scalar avx2 avx512; do
 done
 echo "    kernel parity holds under every FEXIOT_ISA tier"
 
-echo "==> [4/6] scale smoke (100k and 1M clients on the runtime, RSS bounds)"
+echo "==> [4/7] scale smoke (100k and 1M clients on the runtime, RSS bounds)"
 FEXIOT_SLOW_TESTS=1 "${BUILD_DIR}/tests/test_scale" \
   --gtest_filter='ScaleSmoke.*' --gtest_brief=1
 echo "    100k- and 1M-client sampled rounds stay within their RSS bounds"
 
-echo "==> [5/6] serving soak (seeded Poisson load, p99 bound)"
+echo "==> [5/7] serving soak (seeded Poisson load, p99 bound)"
 FEXIOT_SERVING_SOAK=1 "${BUILD_DIR}/tests/test_serving" \
   --gtest_filter='ServingSoak.*' --gtest_brief=1
 echo "    soak met the latency bound"
 
-echo "==> [6/6] TSAN pass (test_common + test_kernels + test_sparse + test_corpus_determinism + test_runtime + test_scale + test_serving + test_explain)"
+echo "==> [6/7] end-to-end benchmark smoke (digests at 1/nproc threads, traced)"
+python3 e2ebench/run.py --smoke
+echo "    every workload digest held across thread counts and tracing"
+
+echo "==> [7/7] TSAN pass (test_common + test_kernels + test_sparse + test_corpus_determinism + test_runtime + test_scale + test_serving + test_explain)"
 cmake -B "${TSAN_DIR}" -S . \
   -DFEXIOT_SANITIZE=thread \
   -DFEXIOT_BUILD_BENCHMARKS=OFF \

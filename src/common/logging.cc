@@ -1,6 +1,5 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
@@ -9,7 +8,7 @@
 namespace fexiot {
 namespace {
 
-std::atomic<int> g_level{static_cast<int>(LogLevel::kInfo)};
+constexpr LogLevel kMinLevel = LogLevel::kInfo;
 std::mutex g_log_mutex;
 
 const char* LevelTag(LogLevel level) {
@@ -28,12 +27,8 @@ const char* LevelTag(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level.store(static_cast<int>(level)); }
-
-LogLevel GetLogLevel() { return static_cast<LogLevel>(g_level.load()); }
-
 void LogMessage(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < g_level.load()) return;
+  if (level < kMinLevel) return;
   const auto now = std::chrono::system_clock::now();
   const std::time_t t = std::chrono::system_clock::to_time_t(now);
   std::tm tm_buf;

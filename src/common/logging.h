@@ -8,11 +8,8 @@ namespace fexiot {
 /// \brief Severity levels for the lightweight logger.
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-/// \brief Process-wide minimum level; messages below it are dropped.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
-/// \brief Emits one formatted log line to stderr (thread-safe).
+/// \brief Emits one formatted log line to stderr (thread-safe); messages
+/// below kInfo are dropped.
 void LogMessage(LogLevel level, const std::string& message);
 
 namespace internal {

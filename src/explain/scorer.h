@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -23,12 +22,6 @@ namespace fexiot {
 /// treated as a distinct query, which is also the correct behaviour for
 /// bit-exactness (induced-subgraph node order affects accumulation order).
 uint64_t SubsetHash(const std::vector<int>& nodes);
-
-/// \brief Black-box scorer h(.) used by the explanation methods: the
-/// probability that the graph restricted to \p active_nodes is vulnerable.
-/// An empty node set scores the model's base prediction (zero embedding).
-using GraphScoreFn =
-    std::function<double(const std::vector<int>& active_nodes)>;
 
 /// \brief Scorer backed by a trained GNN + linear head (the deployed
 /// detection model of Section III-C). Masking = evaluating the induced
@@ -99,11 +92,6 @@ class GnnGraphScorer {
   bool memoize() const { return memoize_; }
 
   const InteractionGraph& graph() const { return *graph_; }
-
-  /// Bindable closure for the explainers.
-  GraphScoreFn AsFn() const {
-    return [this](const std::vector<int>& nodes) { return Score(nodes); };
-  }
 
  private:
   /// One uncached evaluation: induce, prepare, forward, head.

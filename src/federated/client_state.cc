@@ -7,9 +7,9 @@ namespace fexiot {
 
 namespace {
 
-// Suffix split mirroring FlSimulator::SetupClients: the leading fraction
-// of an n-graph shard trains, the rest is the local test pool; when that
-// leaves the test side empty, one training graph moves over.
+// Suffix split: the leading fraction of an n-graph shard trains, the rest
+// is the local test pool; when that leaves the test side empty, one
+// training graph moves over.
 int TrainSplit(int n, double local_train_fraction) {
   const int n_train =
       std::min(std::max(1, static_cast<int>(local_train_fraction * n)), n);

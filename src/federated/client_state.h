@@ -30,7 +30,7 @@ struct LazyClientSpec {
   int num_clusters = 1;
   double profile_strength = 0.0;
   /// Leading fraction of the shard used for local training; the rest is
-  /// the local test split (mirrors FlSimulator::SetupClients).
+  /// the local test split.
   double local_train_fraction = 0.8;
   /// Shared GNN architecture; every materialization starts from the same
   /// seeded initialization, so install-global + train is stateless FedAvg.

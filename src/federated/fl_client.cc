@@ -52,9 +52,4 @@ ClassificationMetrics FlClient::EvaluateLocal() {
   return trainer.Evaluate(train_graphs_, test_graphs_);
 }
 
-Matrix FlClient::EmbedTrain() {
-  GnnTrainer trainer(&model_, train_config_);
-  return trainer.Embed(train_graphs_);
-}
-
 }  // namespace fexiot

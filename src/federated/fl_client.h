@@ -50,8 +50,6 @@ class FlClient {
   /// Local-test metrics using a freshly fit local SGD head.
   ClassificationMetrics EvaluateLocal();
 
-  /// Embeddings of the local training graphs (drift detection, Fig. 6).
-  Matrix EmbedTrain();
   const std::vector<PreparedGraph>& train_graphs() const {
     return train_graphs_;
   }

@@ -37,15 +37,15 @@ class FederatedSimulator {
  public:
   FederatedSimulator(GnnConfig model_config, FlConfig fl_config);
 
-  /// \brief Builds clients from a dataset + partition. Each client splits
-  /// its shard into local train/test by fl_config.local_train_fraction.
-  void SetupClients(const GraphDataset& data, const ClientPartition& part);
-
   /// \brief Builds clients whose entire shard is training data and whose
   /// evaluation set is the held-out pool of the client's latent cluster
-  /// (the Section IV-C 80/20 protocol).
-  void SetupClients(const GraphDataset& data, const ClientPartition& part,
-                    const std::vector<GraphDataset>& cluster_tests);
+  /// (the Section IV-C 80/20 protocol). Fails with InvalidArgument, and
+  /// leaves no clients (so Run reports FailedPrecondition), when
+  /// \p cluster_tests is empty, part.client_cluster is non-empty but
+  /// shorter than part.indices, a shard index is past the end of \p data,
+  /// or the shards hold no graph at all.
+  Status SetupClients(const GraphDataset& data, const ClientPartition& part,
+                      const std::vector<GraphDataset>& cluster_tests);
 
   /// \brief Runs \p algorithm for the configured rounds and evaluates.
   /// Fails with InvalidArgument when the FlConfig (or its runtime section)
@@ -73,19 +73,8 @@ class FederatedSimulator {
   /// immediately (global <- (1-alpha(s)) * global + alpha(s) * update);
   /// kSemiAsync mixes each flushed tier as a client-weighted mini-batch.
   /// Installs the resulting global to the delivered clients.
-  void AsyncFedAvgRound(const RoundOutcome& outcome, double* bytes);
+  void AsyncFedAvgRound(const RoundOutcome& outcome);
 
-  /// Lazily initializes the explicit async global model from the clients'
-  /// shared pre-round weights (all clients start from one seed).
-  void EnsureAsyncGlobal();
-  /// Bytes for exchanging (up + down) one layer with a client group:
-  /// each member's payload lanes under its negotiated codec. Under the
-  /// default fp64 fleet this is exactly the historical
-  /// 2 * |group| * LayerBytes(layer) accounting.
-  double LayerExchangeBytes(int layer, const std::vector<int>& group) const;
-
-  /// Effective wire codec of client \p c this run (fp64 before Run).
-  WireCodec CodecOf(int c) const;
   /// What the other end observes after \p raw crossed a link of client
   /// \p c: \p raw itself under the fp64 passthrough (no copy), otherwise
   /// \p *scratch filled with the quantize-dequantize image of \p raw.
@@ -104,33 +93,51 @@ class FederatedSimulator {
   /// 1.0 for every client the runtime applied no update for.
   double AggScale(int c) const;
 
-  /// Parameter layers FexIoT exchanges in the upcoming round (progressive
-  /// unlock minus the lazy stable-layer skip), without mutating state.
-  std::vector<int> FexiotLayersThisRound() const;
+  /// Parameter layers FexIoT exchanges this round: the unlocked layers
+  /// minus the stable ones that sync lazily. Called once per round; it
+  /// advances the round counter and the stable-round count of every
+  /// layer it skips.
+  std::vector<int> FexiotSchedule();
 
   /// Serialized wire bytes of one round's downlink broadcast / uplink
-  /// update per client under \p algorithm (prices the network model
-  /// transfers). Indexed by client id: each client's messages are encoded
-  /// with its own negotiated codec, so a mixed fleet prices unevenly.
-  std::vector<double> RoundWireBytesPerClient(FlAlgorithm algorithm) const;
+  /// update per client when \p layers are exchanged (prices the network
+  /// model transfers). Indexed by client id: each client's messages are
+  /// encoded with its own negotiated codec, so a mixed fleet prices
+  /// unevenly.
+  std::vector<double> RoundWireBytesPerClient(
+      const std::vector<int>& layers) const;
 
   /// One FexIoT round (Algorithm 1 with a persistent layer-wise cluster
-  /// tree): aggregates every unlocked layer within its current groups
-  /// (restricted to delivered clients), evaluates the (epsilon1, epsilon2)
-  /// gate per group, and permanently bisects a group when the gate fires —
-  /// the split refines the partition of that layer and all deeper layers.
-  /// Splits are deferred while any group member's update is missing.
-  /// Returns true if any split happened this round.
-  bool FexiotRound(double* bytes, const std::vector<int>& delivered);
+  /// tree): aggregates each of this round's \p layers within its current
+  /// groups (restricted to delivered clients), evaluates the Eq. 3 gate
+  /// per group, and permanently bisects a group when the gate fires and
+  /// the halves are clearly separated — the split refines the partition
+  /// of that layer and all deeper layers. Returns true if any split
+  /// happened this round.
+  bool FexiotRound(const std::vector<int>& layers,
+                   const std::vector<int>& delivered);
 
   /// Whole-model clustered aggregation step used by FMTL / GCFL+.
-  void ClusteredWholeModelRound(FlAlgorithm algorithm, double* bytes,
+  void ClusteredWholeModelRound(FlAlgorithm algorithm,
                                 const std::vector<int>& delivered);
 
-  /// Cosine-similarity matrix over per-client vectors.
-  static Matrix SimilarityMatrix(const std::vector<std::vector<double>>& v);
+  /// Eq. 3 gate and cosine bisection (Algorithm 1 lines 13-16) of one
+  /// group. \p updates[i] is what the server observed of active[i]'s
+  /// update; \p signals[i] is what it clusters active[i] on (zero-padded
+  /// to a common length). A group splits only when every member
+  /// delivered, it holds at least min_cluster_size members, its weighted
+  /// mean update is stationary (norm < epsilon1) while some member still
+  /// moves (max norm > epsilon2), and neither half is empty. Returns the
+  /// half (0/1) of each group member and fills \p sim with the signals'
+  /// cosine similarities; returns empty when the group stays whole.
+  std::vector<int> GateAndBisect(const std::vector<int>& group,
+                                 const std::vector<int>& active,
+                                 const std::vector<std::vector<double>>& updates,
+                                 std::vector<std::vector<double>> signals,
+                                 Matrix* sim) const;
 
-  std::vector<double> ConcatAllLayers(int client) const;
+  /// Server-side view of the client's whole-model delta: each layer
+  /// crosses the wire on its own (quantization is per tensor).
   std::vector<double> ConcatAllDeltas(int client) const;
 
   GnnConfig model_config_;
@@ -140,9 +147,8 @@ class FederatedSimulator {
   std::unique_ptr<FederatedRuntime> runtime_;
   std::vector<std::unique_ptr<FlClient>> clients_;
   std::vector<double> client_weight_;  // |G_c| / |G|
-  // Effective per-client wire codec of the current Run: the configured
-  // global default resolved through FEXIOT_WIRE_CODEC, then per-client
-  // overrides (skipped when the env var forces a fleet-wide codec).
+  // Negotiated per-client wire codec of the current Run: the configured
+  // default, then the per-client overrides.
   std::vector<WireCodec> codec_of_;
   // Per-round staleness decay alpha(s), keyed by client id and sparse on
   // the clients an update was applied for (async policies); every absent

@@ -24,11 +24,6 @@ Status ValidateFlConfig(const FlConfig& config) {
   if (config.num_rounds <= 0) {
     return Status::InvalidArgument("FlConfig: num_rounds must be > 0");
   }
-  if (config.local_train_fraction <= 0.0 ||
-      config.local_train_fraction >= 1.0) {
-    return Status::InvalidArgument(
-        "FlConfig: local_train_fraction must be in (0, 1)");
-  }
   if (config.epsilon1 < 0.0 || config.epsilon2 < 0.0) {
     return Status::InvalidArgument(
         "FlConfig: epsilon1/epsilon2 must be >= 0");
@@ -47,7 +42,9 @@ std::string FlResult::Summary() const {
   std::snprintf(buf, sizeof(buf),
                 "acc=%.3f (std %.3f) prec=%.3f rec=%.3f f1=%.3f comm=%.1fMB",
                 mean.accuracy, accuracy_std, mean.precision, mean.recall,
-                mean.f1, total_comm_bytes / (1024.0 * 1024.0));
+                mean.f1,
+                (total_uplink_wire_bytes + total_downlink_wire_bytes) /
+                    (1024.0 * 1024.0));
   return buf;
 }
 

@@ -33,14 +33,8 @@ struct FlConfig {
   /// live at a smaller scale (see EXPERIMENTS.md), hence smaller defaults.
   double epsilon1 = 0.5;
   double epsilon2 = 0.2;
-  /// Fraction of each client's data used for local training (rest tests).
-  double local_train_fraction = 0.8;
   /// Minimum cluster size eligible for further bisection.
   int min_cluster_size = 4;
-  /// A bisection is committed only when mean within-half cosine similarity
-  /// exceeds mean cross-half similarity by this margin (guards against
-  /// splitting on label-skew noise).
-  double split_quality_margin = 0.05;
   /// Worker threads for parallel client training (0 = hardware).
   int threads = 0;
   /// Evaluate every client after each round and record the mean accuracy
@@ -56,16 +50,14 @@ struct FlConfig {
 };
 
 /// \brief Rejects invalid federated configurations (non-positive rounds,
-/// local_train_fraction outside (0,1), negative epsilons, bad runtime
-/// knobs) with a descriptive Status instead of silently misbehaving.
+/// negative epsilons, bad runtime knobs) with a descriptive Status instead
+/// of silently misbehaving.
 Status ValidateFlConfig(const FlConfig& config);
 
 /// \brief Per-round telemetry.
 struct FlRoundStats {
   int round = 0;
   double mean_local_loss = 0.0;
-  /// Cumulative bytes transferred (upload + download) up to this round.
-  double cumulative_comm_bytes = 0.0;
   /// Number of leaf clusters at the bottom layer after this round.
   int num_clusters = 1;
   /// Clients selected and alive this round (ran local training).
@@ -86,11 +78,10 @@ struct FlRoundStats {
   /// (0: clients->edge, 1: edge->parent, 2: regional->root). Empty under
   /// the flat topology.
   std::vector<double> hop_comm_bytes;
-  /// Cumulative real on-wire bytes up to this round, priced from the
-  /// encoded message sizes (framing + codec lanes, every copy sent incl.
-  /// retransmissions and losses). Unlike cumulative_comm_bytes — which
-  /// keeps the historical payload-lane accounting — these shrink under
-  /// the lossy wire codecs (runtime/codec.h).
+  /// Cumulative on-wire bytes up to this round, priced from the encoded
+  /// message sizes (framing + codec lanes, every copy sent incl.
+  /// retransmissions and losses); they shrink under the lossy wire codecs
+  /// (runtime/codec.h).
   double uplink_wire_bytes = 0.0;
   double downlink_wire_bytes = 0.0;
   /// Aggregators down this round (tree topology only).
@@ -107,10 +98,10 @@ struct FlResult {
   ClassificationMetrics mean;
   /// Std-dev of client accuracies (stability evaluation).
   double accuracy_std = 0.0;
-  double total_comm_bytes = 0.0;
-  /// Real on-wire byte totals over the whole run (see
+  /// On-wire byte totals over the whole run (see
   /// FlRoundStats::uplink_wire_bytes): what actually crossed the links,
-  /// per direction, under the negotiated wire codecs.
+  /// per direction, under the negotiated wire codecs. Their sum is the
+  /// run's communication cost (Figure 7).
   double total_uplink_wire_bytes = 0.0;
   double total_downlink_wire_bytes = 0.0;
   /// Simulated wall-clock of the whole run (seconds; 0 under the

@@ -99,7 +99,7 @@ Result<ScaleFlResult> ScaleSimulator::Run() {
   // replica starts from the same seeded initialization).
   GnnModel probe(cfg.client.model);
   const int num_layers = probe.num_layers();
-  const WireCodec codec = ResolveWireCodec(cfg.runtime.wire_codec);
+  const WireCodec codec = cfg.runtime.wire_codec;
   std::vector<std::vector<double>> global(static_cast<size_t>(num_layers));
   // Broadcast and update carry every layer, so both price alike.
   double message_bytes = 0.0;

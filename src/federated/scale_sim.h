@@ -32,8 +32,8 @@ struct ScaleFlConfig {
   /// profile differs.
   bool eager_state = false;
   /// The round engine's knobs: cohort size (clients_per_round, >= 1
-  /// here), client links, aggregation topology, wire codec (resolved
-  /// through FEXIOT_WIRE_CODEC at Run), compute model, round policy
+  /// here), client links, aggregation topology, wire codec, compute
+  /// model, round policy
   /// (synchronous, deadline or timeout-retry) and the seed of every draw,
   /// training streams included.
   RuntimeConfig runtime;

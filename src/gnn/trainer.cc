@@ -7,6 +7,14 @@
 #include "gnn/contrastive.h"
 
 namespace fexiot {
+namespace {
+
+/// L2 weight decay of every SGD step.
+constexpr double kWeightDecay = 1e-5;
+/// Pairs (contrastive) or graphs (supervised) per SGD step.
+constexpr int kBatchPairs = 8;
+
+}  // namespace
 
 std::vector<PreparedGraph> PrepareGraphs(
     const std::vector<InteractionGraph>& graphs, const GnnConfig& config) {
@@ -48,8 +56,7 @@ double GnnTrainer::TrainContrastive(const std::vector<PreparedGraph>& graphs,
     GnnWorkspace ws;
     ContrastivePair pair;
   };
-  const size_t batch =
-      static_cast<size_t>(std::max(1, config_.batch_pairs));
+  const size_t batch = kBatchPairs;
 
   // Hot-path state persists across batches and epochs: caches, workspaces
   // and gradient scratch all reach their peak shapes during the first
@@ -121,8 +128,7 @@ double GnnTrainer::TrainContrastive(const std::vector<PreparedGraph>& graphs,
           model_->Backward(w.cj, grad_j, &bw);
         }
       }
-      model_->ApplyGrads(config_.learning_rate, 2.0 * count,
-                         config_.weight_decay);
+      model_->ApplyGrads(config_.learning_rate, 2.0 * count, kWeightDecay);
     }
   }
   return total_pairs > 0 ? total_loss / total_pairs : 0.0;
@@ -166,15 +172,13 @@ double GnnTrainer::TrainSupervised(const std::vector<PreparedGraph>& graphs,
         w[k] -= config_.learning_rate * err * z[k];
       }
       b -= config_.learning_rate * err;
-      if (++in_batch >= config_.batch_pairs) {
-        model_->ApplyGrads(config_.learning_rate, in_batch,
-                           config_.weight_decay);
+      if (++in_batch >= kBatchPairs) {
+        model_->ApplyGrads(config_.learning_rate, in_batch, kWeightDecay);
         in_batch = 0;
       }
     }
     if (in_batch > 0) {
-      model_->ApplyGrads(config_.learning_rate, in_batch,
-                         config_.weight_decay);
+      model_->ApplyGrads(config_.learning_rate, in_batch, kWeightDecay);
     }
   }
   return count > 0 ? total_loss / count : 0.0;

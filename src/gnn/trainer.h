@@ -15,14 +15,12 @@ namespace fexiot {
 struct TrainConfig {
   int epochs = 1;
   double learning_rate = 0.01;
-  double weight_decay = 1e-5;
   /// Contrastive margin k of Eq. 2.
   double margin = 2.0;
   /// Loss variant (stable Hadsell default; kSquaredMargin = Eq. 2 literal).
   ContrastiveForm form = ContrastiveForm::kHadsellMargin;
   /// Pairs sampled per epoch = pairs_per_sample * dataset size.
   double pairs_per_sample = 1.0;
-  int batch_pairs = 8;
   /// When false, trains with a supervised embedding-level objective
   /// instead of contrastive pairs (used by the ablation bench).
   bool contrastive = true;

@@ -88,11 +88,7 @@ void GraphCorpusGenerator::ComputeFeatures(InteractionGraph* g) {
     GraphNode& n = g->mutable_node(i);
     n.features = ComputeNodeFeatures(n.rule, n.event_time);
   }
-  std::array<double, 4> noise = options_.relational_noise;
-  for (auto& v : noise) {
-    if (v < 0.0) v = options_.extraction_noise;
-  }
-  AugmentRelationalFeatures(g, noise, rng_);
+  AugmentRelationalFeatures(g, options_.extraction_noise, rng_);
 }
 
 bool GraphCorpusGenerator::RepairToBenign(InteractionGraph* g) {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <vector>
 
 #include "common/rng.h"
@@ -24,10 +23,6 @@ struct CorpusOptions {
   /// ~2% per-pair NLP extraction error of Figure 3 compounded over the
   /// pairs a node participates in.
   double extraction_noise = 0.04;
-  /// Optional per-dimension override of extraction_noise (all-negative =
-  /// use the uniform value). Household clusters with different platform
-  /// text styles extract different relations with different reliability.
-  std::array<double, 4> relational_noise = {-1.0, -1.0, -1.0, -1.0};
 };
 
 /// \brief Generates labeled offline interaction-graph corpora

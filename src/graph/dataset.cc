@@ -49,15 +49,6 @@ void GraphDataset::Split(double train_fraction, Rng* rng, GraphDataset* train,
   }
 }
 
-GraphDataset GraphDataset::Subset(const std::vector<size_t>& indices) const {
-  GraphDataset out;
-  for (size_t i : indices) {
-    assert(i < graphs_.size());
-    out.Add(graphs_[i]);
-  }
-  return out;
-}
-
 ClientPartition PartitionDirichlet(const GraphDataset& data, int num_clients,
                                    double alpha, Rng* rng) {
   assert(rng != nullptr);

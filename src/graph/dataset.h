@@ -35,9 +35,6 @@ class GraphDataset {
   void Split(double train_fraction, Rng* rng, GraphDataset* train,
              GraphDataset* test) const;
 
-  /// \brief Subset by indices.
-  GraphDataset Subset(const std::vector<size_t>& indices) const;
-
  private:
   std::vector<InteractionGraph> graphs_;
 };

@@ -206,12 +206,6 @@ std::string InteractionGraph::ToString() const {
 }
 
 void AugmentRelationalFeatures(InteractionGraph* g, double noise, Rng* rng) {
-  AugmentRelationalFeatures(g, std::array<double, 4>{noise, noise, noise, noise},
-                            rng);
-}
-
-void AugmentRelationalFeatures(InteractionGraph* g,
-                               const std::array<double, 4>& noise, Rng* rng) {
   const int n = g->num_nodes();
   // Sibling sets: nodes sharing a parent, or sharing the same trigger.
   std::vector<std::set<int>> siblings(static_cast<size_t>(n));
@@ -302,9 +296,9 @@ void AugmentRelationalFeatures(InteractionGraph* g,
     f[base + 2] = r2;
     f[base + 3] = r3;
     if (rng != nullptr) {
-      // NLP extraction error: relational indicator k flips w.p. noise[k].
+      // NLP extraction error: each relational indicator flips w.p. noise.
       for (size_t k = 0; k < 4; ++k) {
-        if (noise[k] > 0.0 && rng->Bernoulli(noise[k])) {
+        if (noise > 0.0 && rng->Bernoulli(noise)) {
           f[base + k] = 1.0 - f[base + k];
         }
       }

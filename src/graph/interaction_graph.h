@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <string>
 #include <vector>
 
@@ -148,13 +147,6 @@ std::vector<double> ComputeNodeFeatures(const Rule& rule, double event_time);
 /// with this probability (0 disables; requires \p rng when > 0).
 void AugmentRelationalFeatures(InteractionGraph* g, double noise = 0.0,
                                Rng* rng = nullptr);
-
-/// \brief Per-dimension variant: dim k flips with probability noise[k].
-/// Different household clusters / platform text styles extract different
-/// relations with different reliability, which is the concept
-/// heterogeneity the clustered federated methods exploit.
-void AugmentRelationalFeatures(InteractionGraph* g,
-                               const std::array<double, 4>& noise, Rng* rng);
 
 /// \brief Feature dimensionality used by \p platform.
 int PlatformFeatureDim(Platform platform);

@@ -37,12 +37,6 @@ class DecisionTree {
   /// Classification: P(class 1). Regression: predicted value.
   double PredictValue(const std::vector<double>& sample) const;
 
-  int PredictClass(const std::vector<double>& sample) const {
-    return PredictValue(sample) >= 0.5 ? 1 : 0;
-  }
-
-  int node_count() const { return static_cast<int>(nodes_.size()); }
-
  private:
   struct Node {
     int feature = -1;        // -1 for leaves

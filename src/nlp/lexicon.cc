@@ -131,11 +131,6 @@ Lexicon::Lexicon() {
         "inactive", "running", "stopped", "armed", "disarmed"}) {
     state_words_.insert(s);
   }
-
-  device_nouns_.assign(device_nouns_set_.begin(), device_nouns_set_.end());
-  std::sort(device_nouns_.begin(), device_nouns_.end());
-  action_verbs_.assign(action_verbs_set_.begin(), action_verbs_set_.end());
-  std::sort(action_verbs_.begin(), action_verbs_.end());
 }
 
 void Lexicon::AddSynonymGroup(const std::vector<std::string>& words) {

@@ -64,15 +64,6 @@ class Lexicon {
   /// True if the word names a device attribute/state (on, off, open, ...).
   bool IsStateWord(const std::string& word) const;
 
-  /// All known device nouns (canonical forms).
-  const std::vector<std::string>& device_nouns() const {
-    return device_nouns_;
-  }
-  /// All known action verbs.
-  const std::vector<std::string>& action_verbs() const {
-    return action_verbs_;
-  }
-
  private:
   Lexicon();
 
@@ -91,8 +82,6 @@ class Lexicon {
   std::unordered_set<std::string> action_verbs_set_;
   std::unordered_set<std::string> device_nouns_set_;
   std::unordered_set<std::string> state_words_;
-  std::vector<std::string> device_nouns_;
-  std::vector<std::string> action_verbs_;
 };
 
 }  // namespace fexiot

@@ -70,32 +70,6 @@ PosTag TagWord(const std::string& w) {
 
 }  // namespace
 
-const char* PosTagToString(PosTag tag) {
-  switch (tag) {
-    case PosTag::kVerb:
-      return "VERB";
-    case PosTag::kNoun:
-      return "NOUN";
-    case PosTag::kAdjective:
-      return "ADJ";
-    case PosTag::kAdverb:
-      return "ADV";
-    case PosTag::kDeterminer:
-      return "DET";
-    case PosTag::kPreposition:
-      return "PREP";
-    case PosTag::kConjunction:
-      return "CONJ";
-    case PosTag::kPronoun:
-      return "PRON";
-    case PosTag::kNumber:
-      return "NUM";
-    case PosTag::kOther:
-      return "X";
-  }
-  return "?";
-}
-
 std::vector<TaggedToken> PosTagger::Tag(const std::string& sentence) {
   std::vector<TaggedToken> out;
   for (const auto& w : Tokenizer::Tokenize(sentence)) {

@@ -19,8 +19,6 @@ enum class PosTag {
   kOther,
 };
 
-const char* PosTagToString(PosTag tag);
-
 /// \brief One tagged token.
 struct TaggedToken {
   std::string text;

@@ -1,12 +1,9 @@
 #include "runtime/codec.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <string>
 
-#include "common/logging.h"
 #include "gnn/serialization.h"
 
 namespace fexiot {
@@ -27,28 +24,6 @@ const char* WireCodecName(WireCodec codec) {
 
 bool IsValidWireCodec(uint32_t raw) {
   return raw < static_cast<uint32_t>(kNumWireCodecs);
-}
-
-Result<WireCodec> ParseWireCodec(const std::string& name) {
-  for (int i = 0; i < kNumWireCodecs; ++i) {
-    const WireCodec c = static_cast<WireCodec>(i);
-    if (name == WireCodecName(c)) return c;
-  }
-  return Status::InvalidArgument(
-      "unknown wire codec '" + name + "' (expected fp64|fp32|bf16|int8)");
-}
-
-WireCodec ResolveWireCodec(WireCodec configured) {
-  const char* env = std::getenv("FEXIOT_WIRE_CODEC");
-  if (env == nullptr || *env == '\0') return configured;
-  const Result<WireCodec> parsed = ParseWireCodec(env);
-  if (!parsed.ok()) {
-    FEXIOT_LOG(Warning) << "FEXIOT_WIRE_CODEC='" << env
-                        << "' is not a codec (fp64|fp32|bf16|int8); keeping "
-                        << WireCodecName(configured);
-    return configured;
-  }
-  return *parsed;
 }
 
 float DoubleToFloat(double x) {

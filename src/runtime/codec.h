@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/result.h"
-
 namespace fexiot {
 
 /// \brief Wire payload encodings for federated model updates/broadcasts.
@@ -54,14 +52,6 @@ const char* WireCodecName(WireCodec codec);
 /// True for the four defined encodings; false for any other bit pattern
 /// (e.g. an unknown encoding id read off the wire).
 bool IsValidWireCodec(uint32_t raw);
-
-/// Parses "fp64" / "fp32" / "bf16" / "int8".
-Result<WireCodec> ParseWireCodec(const std::string& name);
-
-/// \brief Resolves the effective codec: when the FEXIOT_WIRE_CODEC
-/// environment variable names a codec it overrides \p configured (warn +
-/// keep the configured codec on an unknown name). Call once per run.
-WireCodec ResolveWireCodec(WireCodec configured);
 
 /// \brief Exact byte size of the encoded payload record for \p n elements
 /// under \p codec (the u64 element count prefix plus the packed lanes and,

@@ -24,6 +24,10 @@ const char* RoundPolicyName(RoundPolicy policy) {
 
 namespace {
 
+/// Exponential backoff of update retransmits and broadcast re-fetches:
+/// attempt k waits timeout * kBackoffFactor^k.
+constexpr double kBackoffFactor = 2.0;
+
 Status ValidateFault(const ClientFaultProfile& fault, const char* what) {
   if (fault.slowdown <= 0.0) {
     return Status::InvalidArgument(std::string(what) +
@@ -70,9 +74,6 @@ Status ValidateRuntimeConfig(const RuntimeConfig& config) {
   }
   if (config.max_retries < 0) {
     return Status::InvalidArgument("runtime: max_retries must be >= 0");
-  }
-  if (config.backoff_factor < 1.0) {
-    return Status::InvalidArgument("runtime: backoff_factor must be >= 1");
   }
   if (config.max_refetches < 0) {
     return Status::InvalidArgument("runtime: max_refetches must be >= 0");
@@ -420,7 +421,7 @@ RoundOutcome FederatedRuntime::Execute(int round, Cost broadcast_bytes,
           // retransmits with exponential backoff.
           const double resend = std::max(
               ev.time, send_time[slot] + config_.retry_timeout_s *
-                                             std::pow(config_.backoff_factor,
+                                             std::pow(kBackoffFactor,
                                                       ev.attempt));
           queue.Schedule(resend, EventKind::kRetrySend, ev.client,
                          ev.attempt + 1);
@@ -447,7 +448,7 @@ RoundOutcome FederatedRuntime::Execute(int round, Cost broadcast_bytes,
               ev.time,
               outcome.start_time_s +
                   config_.refetch_timeout_s *
-                      std::pow(config_.backoff_factor, ev.attempt));
+                      std::pow(kBackoffFactor, ev.attempt));
           queue.Schedule(resend, EventKind::kRefetch, ev.client,
                          ev.attempt + 1);
         } else {

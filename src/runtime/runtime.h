@@ -67,15 +67,14 @@ struct RuntimeConfig {
   double over_selection = 1.0;
 
   /// Timeout+retry policy: seconds after sending before a lost update is
-  /// retransmitted; doubled^attempt by backoff_factor.
+  /// retransmitted; doubled on every later attempt.
   double retry_timeout_s = 1.0;
   int max_retries = 2;
-  double backoff_factor = 2.0;
 
   /// Downlink loss recovery (any policy): seconds after round start a
   /// client waits for the model broadcast before requesting a re-send;
-  /// scaled by backoff_factor^attempt on later re-fetches. Only consulted
-  /// when a downlink's loss_prob > 0.
+  /// doubled on every later re-fetch. Only consulted when a downlink's
+  /// loss_prob > 0.
   double refetch_timeout_s = 1.0;
   /// Broadcast re-sends a client may request before giving the round up.
   int max_refetches = 2;

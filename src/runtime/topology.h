@@ -46,12 +46,13 @@ Status ValidateTreeTopology(const TreeTopologyConfig& config);
 /// \brief Running (sum w_i * x_i, sum w_i) weighted-sum accumulator with a
 /// fixed reduction order.
 ///
-/// Add replays exactly one multiply-add per element — the same operation
-/// FederatedSimulator::AverageLayer performs per client — so feeding it
-/// pre-normalized weights (w_c * scale_c / weight_sum, with weight_sum
-/// accumulated over the same clients in the same ascending order) in
-/// ascending client order reproduces the eager AverageLayer result
-/// bit-exactly (pinned by test_scale). Merge folds a child tier's partial
+/// Add performs exactly one multiply-add per element. It is the one
+/// weighted-sum kernel of the federated code: FederatedSimulator's
+/// AverageLayer feeds it pre-normalized weights (w_c * scale_c /
+/// weight_sum, with weight_sum accumulated over the same clients in the
+/// same ascending order) in ascending client order, and any other caller
+/// doing the same reproduces that result bit-exactly (pinned by
+/// test_scale). Merge folds a child tier's partial
 /// sums in; merging reassociates the floating-point sum, so deep trees
 /// are near-equal rather than bit-equal to the flat reduction
 /// (DESIGN.md 5.10).

@@ -130,18 +130,6 @@ const std::vector<DeviceType>& ActuatorTypes() {
   return kActuators;
 }
 
-const std::vector<DeviceType>& TriggerableTypes() {
-  static const std::vector<DeviceType> kTriggerable = [] {
-    std::vector<DeviceType> v;
-    for (DeviceType t : AllDeviceTypes()) {
-      // Any device state change can act as a trigger; include everything.
-      v.push_back(t);
-    }
-    return v;
-  }();
-  return kTriggerable;
-}
-
 const std::string& DeviceNoun(DeviceType type) {
   return GetDeviceTypeInfo(type).noun;
 }

@@ -100,9 +100,6 @@ const std::vector<DeviceType>& AllDeviceTypes();
 /// \brief Actuator types only (targets of rule actions).
 const std::vector<DeviceType>& ActuatorTypes();
 
-/// \brief Sensor/pseudo types usable as rule triggers.
-const std::vector<DeviceType>& TriggerableTypes();
-
 /// \brief Canonical noun, e.g. "light" for kLight.
 const std::string& DeviceNoun(DeviceType type);
 

@@ -101,8 +101,6 @@ void ColumnSumInto(const Matrix& m, Matrix* out);
 
 /// \brief Element-wise logistic sigmoid.
 Matrix Sigmoid(const Matrix& m);
-/// \brief Element-wise tanh.
-Matrix Tanh(const Matrix& m);
 
 /// \brief Row-wise softmax (numerically stabilized).
 Matrix SoftmaxRows(const Matrix& m);
@@ -127,9 +125,6 @@ double CosineSimilarity(const std::vector<double>& a,
                         const std::vector<double>& b);
 /// \brief L2 norm of a vector.
 double VectorNorm(const std::vector<double>& v);
-
-/// \brief Stacks equal-length vectors as matrix rows.
-Matrix StackRows(const std::vector<std::vector<double>>& rows);
 
 /// All element-wise and reduction helpers above are single-threaded pure
 /// functions returning fresh matrices (no aliasing with their inputs) and

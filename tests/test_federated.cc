@@ -38,6 +38,11 @@ struct Fixture {
   }
 };
 
+// The run's communication cost: on-wire bytes in both directions.
+double WireBytes(const FlResult& res) {
+  return res.total_uplink_wire_bytes + res.total_downlink_wire_bytes;
+}
+
 TEST(FlAlgorithmName, Stable) {
   EXPECT_STREQ(FlAlgorithmName(FlAlgorithm::kFexiot), "FexIoT");
   EXPECT_STREQ(FlAlgorithmName(FlAlgorithm::kLocalOnly), "Client");
@@ -59,11 +64,6 @@ TEST(ValidateFlConfig, RejectsBadValues) {
     FlConfig fc;
     fc.num_rounds = -3;
     EXPECT_FALSE(ValidateFlConfig(fc).ok());
-  }
-  for (double f : {0.0, 1.0, -0.2, 1.5}) {
-    FlConfig fc;
-    fc.local_train_fraction = f;
-    EXPECT_FALSE(ValidateFlConfig(fc).ok()) << "fraction " << f;
   }
   {
     FlConfig fc;
@@ -123,6 +123,58 @@ TEST(FlClient, SetLayerWeightsRoundTrips) {
   EXPECT_EQ(client->LayerWeights(1), w);
 }
 
+// SetupClients rejects inputs it would otherwise divide by zero on, read
+// out of bounds, or weight every client NaN with; it leaves no clients, so
+// a following Run fails cleanly.
+void ExpectSetupRejected(const GraphDataset& data, const ClientPartition& part,
+                         const std::vector<GraphDataset>& cluster_tests) {
+  const Fixture& f = Fixture::Get();
+  FederatedSimulator sim(f.gc, f.fc);
+  const Status s = sim.SetupClients(data, part, cluster_tests);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(sim.num_clients(), 0u);
+  const Result<FlResult> res = sim.Run(FlAlgorithm::kFedAvg);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(SetupClients, AcceptsTheFixture) {
+  const Fixture& f = Fixture::Get();
+  FederatedSimulator sim(f.gc, f.fc);
+  EXPECT_TRUE(sim.SetupClients(f.corpus.data, f.corpus.partition,
+                               f.corpus.cluster_tests)
+                  .ok());
+  EXPECT_EQ(sim.num_clients(), f.corpus.partition.indices.size());
+}
+
+TEST(SetupClients, RejectsEmptyClusterTests) {
+  const Fixture& f = Fixture::Get();
+  ExpectSetupRejected(f.corpus.data, f.corpus.partition, {});
+}
+
+TEST(SetupClients, RejectsShortClientClusterList) {
+  const Fixture& f = Fixture::Get();
+  ClientPartition part = f.corpus.partition;
+  ASSERT_GT(part.client_cluster.size(), 1u);
+  part.client_cluster.pop_back();
+  ExpectSetupRejected(f.corpus.data, part, f.corpus.cluster_tests);
+}
+
+TEST(SetupClients, RejectsShardIndexPastTheDataset) {
+  const Fixture& f = Fixture::Get();
+  ClientPartition part = f.corpus.partition;
+  part.indices.back().push_back(f.corpus.data.size());
+  ExpectSetupRejected(f.corpus.data, part, f.corpus.cluster_tests);
+}
+
+TEST(SetupClients, RejectsFederationWithoutGraphs) {
+  const Fixture& f = Fixture::Get();
+  ClientPartition part = f.corpus.partition;
+  for (auto& shard : part.indices) shard.clear();
+  ExpectSetupRejected(f.corpus.data, part, f.corpus.cluster_tests);
+}
+
 class FlAlgorithmRun : public ::testing::TestWithParam<FlAlgorithm> {};
 
 TEST_P(FlAlgorithmRun, ProducesSaneResult) {
@@ -135,15 +187,21 @@ TEST_P(FlAlgorithmRun, ProducesSaneResult) {
   EXPECT_LE(res.mean.accuracy, 1.0);
   EXPECT_EQ(res.rounds.size(), 3u);
   if (GetParam() == FlAlgorithm::kLocalOnly) {
-    EXPECT_DOUBLE_EQ(res.total_comm_bytes, 0.0);
+    EXPECT_DOUBLE_EQ(WireBytes(res), 0.0);
   } else {
-    EXPECT_GT(res.total_comm_bytes, 0.0);
+    EXPECT_GT(res.total_uplink_wire_bytes, 0.0);
+    EXPECT_GT(res.total_downlink_wire_bytes, 0.0);
   }
-  // Cumulative bytes are monotone.
+  // Cumulative wire bytes are monotone and end at the run totals.
   for (size_t r = 1; r < res.rounds.size(); ++r) {
-    EXPECT_GE(res.rounds[r].cumulative_comm_bytes,
-              res.rounds[r - 1].cumulative_comm_bytes);
+    EXPECT_GE(res.rounds[r].uplink_wire_bytes,
+              res.rounds[r - 1].uplink_wire_bytes);
+    EXPECT_GE(res.rounds[r].downlink_wire_bytes,
+              res.rounds[r - 1].downlink_wire_bytes);
   }
+  EXPECT_EQ(res.rounds.back().uplink_wire_bytes, res.total_uplink_wire_bytes);
+  EXPECT_EQ(res.rounds.back().downlink_wire_bytes,
+            res.total_downlink_wire_bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -177,13 +235,13 @@ TEST(FederatedSimulator, FexiotCheaperThanFedAvg) {
     FederatedSimulator sim(f.gc, fc);
     sim.SetupClients(f.corpus.data, f.corpus.partition,
                      f.corpus.cluster_tests);
-    fedavg_bytes = sim.Run(FlAlgorithm::kFedAvg).value().total_comm_bytes;
+    fedavg_bytes = WireBytes(sim.Run(FlAlgorithm::kFedAvg).value());
   }
   {
     FederatedSimulator sim(f.gc, fc);
     sim.SetupClients(f.corpus.data, f.corpus.partition,
                      f.corpus.cluster_tests);
-    fexiot_bytes = sim.Run(FlAlgorithm::kFexiot).value().total_comm_bytes;
+    fexiot_bytes = WireBytes(sim.Run(FlAlgorithm::kFexiot).value());
   }
   EXPECT_LT(fexiot_bytes, fedavg_bytes);
 }
@@ -210,7 +268,8 @@ TEST(FederatedSimulator, RunIsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(r1.mean.accuracy, r4.mean.accuracy);
   EXPECT_EQ(r1.mean.f1, r4.mean.f1);
   EXPECT_EQ(r1.accuracy_std, r4.accuracy_std);
-  EXPECT_EQ(r1.total_comm_bytes, r4.total_comm_bytes);
+  EXPECT_EQ(r1.total_uplink_wire_bytes, r4.total_uplink_wire_bytes);
+  EXPECT_EQ(r1.total_downlink_wire_bytes, r4.total_downlink_wire_bytes);
   EXPECT_EQ(r1.client_cluster, r4.client_cluster);
   ASSERT_EQ(r1.client_metrics.size(), r4.client_metrics.size());
   for (size_t c = 0; c < r1.client_metrics.size(); ++c) {

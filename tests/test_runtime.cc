@@ -275,7 +275,6 @@ TEST(RuntimeConfig, RejectsOutOfRangeKnobs) {
     c->retry_timeout_s = 0.0;
   }));
   EXPECT_TRUE(bad([](RuntimeConfig* c) { c->max_retries = -1; }));
-  EXPECT_TRUE(bad([](RuntimeConfig* c) { c->backoff_factor = 0.5; }));
   EXPECT_TRUE(bad([](RuntimeConfig* c) { c->train_seconds_per_graph = -1.0; }));
   EXPECT_TRUE(bad([](RuntimeConfig* c) { c->default_up.latency_s = -0.1; }));
   EXPECT_TRUE(bad([](RuntimeConfig* c) { c->default_up.loss_prob = 1.0; }));
@@ -656,46 +655,41 @@ TEST(FederatedSimulatorRuntime, RetryRunAccountsRetransmits) {
 // or cross-thread-count drift shows up as a text diff.
 std::string ResultDigest(const FlResult& res) {
   std::string out;
-  char buf[64];
-  auto add = [&](const char* name, double v) {
-    std::snprintf(buf, sizeof(buf), "%s=%a\n", name, v);
-    out += buf;
+  // printf-appends to out at whatever length the line needs.
+  auto appendf = [&out](const char* fmt, auto... args) {
+    const int n = std::snprintf(nullptr, 0, fmt, args...);
+    const size_t at = out.size();
+    out.resize(at + static_cast<size_t>(n) + 1);
+    std::snprintf(&out[at], static_cast<size_t>(n) + 1, fmt, args...);
+    out.resize(at + static_cast<size_t>(n));
   };
-  add("mean_accuracy", res.mean.accuracy);
-  add("mean_f1", res.mean.f1);
-  add("accuracy_std", res.accuracy_std);
-  add("total_comm_bytes", res.total_comm_bytes);
-  add("total_sim_time_s", res.total_sim_time_s);
-  add("total_retransmit_bytes", res.total_retransmit_bytes);
+  appendf("mean_accuracy=%a\n", res.mean.accuracy);
+  appendf("mean_f1=%a\n", res.mean.f1);
+  appendf("accuracy_std=%a\n", res.accuracy_std);
+  appendf("total_uplink_wire_bytes=%a total_downlink_wire_bytes=%a\n",
+          res.total_uplink_wire_bytes, res.total_downlink_wire_bytes);
+  appendf("total_sim_time_s=%a\n", res.total_sim_time_s);
+  appendf("total_retransmit_bytes=%a\n", res.total_retransmit_bytes);
   for (size_t c = 0; c < res.client_metrics.size(); ++c) {
-    std::snprintf(buf, sizeof(buf), "client%zu_acc=%a cluster=%d\n", c,
-                  res.client_metrics[c].accuracy,
-                  c < res.client_cluster.size() ? res.client_cluster[c] : -1);
-    out += buf;
+    appendf("client%zu_acc=%a cluster=%d\n", c, res.client_metrics[c].accuracy,
+            c < res.client_cluster.size() ? res.client_cluster[c] : -1);
   }
   for (const FlRoundStats& r : res.rounds) {
-    std::snprintf(buf, sizeof(buf), "round%d p=%d d=%d t=%a rt=%a b=%a s=%a\n",
-                  r.round, r.participants, r.delivered, r.sim_time_s,
-                  r.retransmit_bytes, r.cumulative_comm_bytes,
-                  r.mean_staleness);
-    out += buf;
+    appendf("round%d p=%d d=%d t=%a rt=%a up=%a down=%a s=%a\n", r.round,
+            r.participants, r.delivered, r.sim_time_s, r.retransmit_bytes,
+            r.uplink_wire_bytes, r.downlink_wire_bytes, r.mean_staleness);
     // Tree-topology rounds also pin the per-hop bytes and crash counters
     // (flat rounds carry no hop vector, keeping their digests unchanged).
     if (!r.hop_comm_bytes.empty()) {
       out += "hops";
-      for (double hb : r.hop_comm_bytes) {
-        std::snprintf(buf, sizeof(buf), " %a", hb);
-        out += buf;
-      }
-      std::snprintf(buf, sizeof(buf), " crash=%d lost=%d\n",
-                    r.aggregator_crashes, r.subtree_lost_updates);
-      out += buf;
+      for (double hb : r.hop_comm_bytes) appendf(" %a", hb);
+      appendf(" crash=%d lost=%d\n", r.aggregator_crashes,
+              r.subtree_lost_updates);
     }
   }
   for (size_t i = 0; i < res.staleness_hist.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "hist%zu=%llu\n", i,
-                  static_cast<unsigned long long>(res.staleness_hist[i]));
-    out += buf;
+    appendf("hist%zu=%llu\n", i,
+            static_cast<unsigned long long>(res.staleness_hist[i]));
   }
   return out;
 }
@@ -810,11 +804,8 @@ TEST(FederatedSimulatorRuntime, Int8CodecShrinksWireBytesAndSimTime) {
   EXPECT_GE(fp64.total_uplink_wire_bytes / int8.total_uplink_wire_bytes, 4.0);
   // Identical loss/straggler draws, smaller transfers: time can only drop.
   EXPECT_LT(int8.total_sim_time_s, fp64.total_sim_time_s);
-  EXPECT_LT(int8.total_comm_bytes, fp64.total_comm_bytes);
-  // fp64 wire accounting: every legacy comm byte crossed the wire, plus
-  // framing and retransmits, so the wire total exceeds the payload total.
-  EXPECT_GT(fp64.total_uplink_wire_bytes + fp64.total_downlink_wire_bytes,
-            fp64.total_comm_bytes);
+  // The broadcast is encoded with the same codec, so it shrinks too.
+  EXPECT_LT(int8.total_downlink_wire_bytes, fp64.total_downlink_wire_bytes);
   // Mixed fleet: per-client overrides land between the pure runs.
   const FlResult mixed =
       run(WireCodec::kFp64, {WireCodec::kFp64, WireCodec::kInt8,
@@ -1367,7 +1358,8 @@ TEST(FederatedSimulatorRuntime, TreeMatchesFlatResultsOnSeedCorpus) {
     EXPECT_EQ(flat.client_metrics[c].accuracy, tree.client_metrics[c].accuracy);
     EXPECT_EQ(flat.client_metrics[c].f1, tree.client_metrics[c].f1);
   }
-  EXPECT_EQ(flat.total_comm_bytes, tree.total_comm_bytes);
+  EXPECT_EQ(flat.total_uplink_wire_bytes, tree.total_uplink_wire_bytes);
+  EXPECT_EQ(flat.total_downlink_wire_bytes, tree.total_downlink_wire_bytes);
   ASSERT_EQ(flat.rounds.size(), tree.rounds.size());
   for (size_t r = 0; r < flat.rounds.size(); ++r) {
     EXPECT_EQ(flat.rounds[r].delivered, tree.rounds[r].delivered);
