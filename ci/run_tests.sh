@@ -9,6 +9,11 @@
 #  - a GEMM ISA-dispatch sweep: test_kernels under each FEXIOT_ISA tier
 #    (unsupported tiers degrade to the widest available one, so the sweep
 #    is safe on any host);
+#  - the small-product kernel against its oracle without FMA contraction:
+#    a -DFEXIOT_NATIVE=OFF build (tests only) of test_kernels and
+#    test_sparse, where ops.cc compiles `c += a*b` as a separate multiply
+#    and add. The default -march=native build fuses both the kernel and
+#    ReferenceMatMul into FMAs; the bit-for-bit contract must hold in both;
 #  - the lazy-state scale smokes on the event runtime: 100k clients with
 #    an RSS ceiling, and 1M clients on a 4-thread pool whose peak RSS must
 #    stay below 32 MB (the runtime allocates by the cohort, not the fleet);
@@ -23,22 +28,23 @@
 #    the async policies / lazy-state scale driver / batched serving
 #    inference / parallel explanation search with its shared score memo).
 #
-# Usage: ci/run_tests.sh [build-dir] [tsan-build-dir]
+# Usage: ci/run_tests.sh [build-dir] [tsan-build-dir] [portable-build-dir]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 TSAN_DIR="${2:-build-tsan}"
+PORTABLE_DIR="${3:-build-portable}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-echo "==> [1/7] configure + build (${BUILD_DIR})"
+echo "==> [1/8] configure + build (${BUILD_DIR})"
 cmake -B "${BUILD_DIR}" -S . >/dev/null
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
-echo "==> [2/7] full test suite"
+echo "==> [2/8] full test suite"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
-echo "==> [3/7] GEMM ISA dispatch sweep (FEXIOT_ISA=scalar/avx2/avx512)"
+echo "==> [3/8] GEMM ISA dispatch sweep (FEXIOT_ISA=scalar/avx2/avx512)"
 for isa in scalar avx2 avx512; do
   echo "    FEXIOT_ISA=${isa}"
   FEXIOT_ISA="${isa}" "${BUILD_DIR}/tests/test_kernels" \
@@ -46,21 +52,31 @@ for isa in scalar avx2 avx512; do
 done
 echo "    kernel parity holds under every FEXIOT_ISA tier"
 
-echo "==> [4/7] scale smoke (100k and 1M clients on the runtime, RSS bounds)"
+echo "==> [4/8] small-product kernel vs oracle without FMA contraction (${PORTABLE_DIR})"
+cmake -B "${PORTABLE_DIR}" -S . \
+  -DFEXIOT_NATIVE=OFF \
+  -DFEXIOT_BUILD_BENCHMARKS=OFF \
+  -DFEXIOT_BUILD_EXAMPLES=OFF >/dev/null
+cmake --build "${PORTABLE_DIR}" -j "${JOBS}" --target test_kernels test_sparse
+"${PORTABLE_DIR}/tests/test_kernels" --gtest_brief=1 >/dev/null
+"${PORTABLE_DIR}/tests/test_sparse" --gtest_brief=1 >/dev/null
+echo "    small path equals the Reference* oracle bit for bit in both build modes"
+
+echo "==> [5/8] scale smoke (100k and 1M clients on the runtime, RSS bounds)"
 FEXIOT_SLOW_TESTS=1 "${BUILD_DIR}/tests/test_scale" \
   --gtest_filter='ScaleSmoke.*' --gtest_brief=1
 echo "    100k- and 1M-client sampled rounds stay within their RSS bounds"
 
-echo "==> [5/7] serving soak (seeded Poisson load, p99 bound)"
+echo "==> [6/8] serving soak (seeded Poisson load, p99 bound)"
 FEXIOT_SERVING_SOAK=1 "${BUILD_DIR}/tests/test_serving" \
   --gtest_filter='ServingSoak.*' --gtest_brief=1
 echo "    soak met the latency bound"
 
-echo "==> [6/7] end-to-end benchmark smoke (digests at 1/nproc threads, traced)"
+echo "==> [7/8] end-to-end benchmark smoke (digests at 1/nproc threads, traced)"
 python3 e2ebench/run.py --smoke
 echo "    every workload digest held across thread counts and tracing"
 
-echo "==> [7/7] TSAN pass (test_common + test_kernels + test_sparse + test_corpus_determinism + test_runtime + test_scale + test_serving + test_explain)"
+echo "==> [8/8] TSAN pass (test_common + test_kernels + test_sparse + test_corpus_determinism + test_runtime + test_scale + test_serving + test_explain)"
 cmake -B "${TSAN_DIR}" -S . \
   -DFEXIOT_SANITIZE=thread \
   -DFEXIOT_BUILD_BENCHMARKS=OFF \
@@ -76,4 +92,4 @@ FEXIOT_THREADS=4 "${TSAN_DIR}/tests/test_scale"
 FEXIOT_THREADS=4 "${TSAN_DIR}/tests/test_serving"
 FEXIOT_THREADS=4 "${TSAN_DIR}/tests/test_explain"
 
-echo "OK: tier-1 suite green (determinism pinned in-process), TSAN clean"
+echo "OK: tier-1 suite green (determinism pinned in-process), small path exact in both build modes, TSAN clean"

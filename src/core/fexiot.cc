@@ -58,13 +58,21 @@ InteractionGraph FexIoT::Fuse(const Home& home,
 }
 
 std::vector<double> FexIoT::Embed(const InteractionGraph& g) const {
+  if (g.num_nodes() == 0) {
+    return std::vector<double>(
+        static_cast<size_t>(model_->config().embedding_dim), 0.0);
+  }
   const PreparedGraph prepared = PrepareGraph(g, config_.gnn);
   return model_->Forward(prepared, nullptr);
 }
 
+double FexIoT::HeadProba(const InteractionGraph& g,
+                         const std::vector<double>& z) const {
+  return g.num_nodes() == 0 ? 0.0 : head_.PredictProba(z);
+}
+
 double FexIoT::PredictProba(const InteractionGraph& g) const {
-  if (g.num_nodes() == 0) return 0.0;
-  return head_.PredictProba(Embed(g));
+  return HeadProba(g, Embed(g));
 }
 
 int FexIoT::Predict(const InteractionGraph& g) const {
@@ -85,12 +93,18 @@ ExplanationResult FexIoT::Explain(const InteractionGraph& g) const {
   return explainer.Explain(scorer, &rng_);
 }
 
-FexIoT::Verdict FexIoT::Analyze(const InteractionGraph& g) const {
+FexIoT::Verdict FexIoT::Detect(const InteractionGraph& g) const {
+  const std::vector<double> z = Embed(g);
   Verdict v;
-  v.probability = PredictProba(g);
+  v.probability = HeadProba(g, z);
   v.label = v.probability >= 0.5 ? 1 : 0;
-  v.drift_score = DriftScore(g);
+  v.drift_score = drift_.Score(z);
   v.drifting = v.drift_score > config_.drift.threshold;
+  return v;
+}
+
+FexIoT::Verdict FexIoT::Analyze(const InteractionGraph& g) const {
+  Verdict v = Detect(g);
   if (v.label == 1 && g.num_nodes() > 1) {
     v.explanation = Explain(g);
     std::ostringstream os;
@@ -126,8 +140,8 @@ int FexIotSystemDetector::Predict(const TestbedSample& sample) const {
   // Full pipeline: the supervised head plus the MAD drift filter — a
   // sample outside the training manifold is flagged for inspection
   // (Section III-B3), which is how novel tampering patterns surface.
-  if (pipeline_.Predict(sample.graph) == 1) return 1;
-  return pipeline_.IsDrifting(sample.graph) ? 1 : 0;
+  const FexIoT::Verdict v = pipeline_.Detect(sample.graph);
+  return v.label == 1 || v.drifting ? 1 : 0;
 }
 
 }  // namespace fexiot

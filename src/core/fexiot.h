@@ -52,7 +52,8 @@ class FexIoT {
   /// online interaction graph (cleans the log first).
   InteractionGraph Fuse(const Home& home, const EventLog& raw_log) const;
 
-  /// Probability the interaction graph is vulnerable.
+  /// Probability the interaction graph is vulnerable (0 for a graph with
+  /// no nodes).
   double PredictProba(const InteractionGraph& g) const;
   /// Binary verdict (1 = vulnerable).
   int Predict(const InteractionGraph& g) const;
@@ -76,7 +77,14 @@ class FexIoT {
   };
   Verdict Analyze(const InteractionGraph& g) const;
 
-  /// Graph embedding (for drift/cluster analyses).
+  /// \brief Analyze without the explanation: one embedding of \p g feeds
+  /// both the head and the drift filter. Fields equal PredictProba,
+  /// Predict, DriftScore and IsDrifting bit for bit.
+  Verdict Detect(const InteractionGraph& g) const;
+
+  /// Graph embedding (for drift/cluster analyses). A graph with no nodes
+  /// (Fuse returns one when no rule fired) embeds to the zero vector, the
+  /// embedding GnnGraphScorer scores for the empty node set.
   std::vector<double> Embed(const InteractionGraph& g) const;
 
   GnnModel* model() { return model_.get(); }
@@ -85,6 +93,9 @@ class FexIoT {
 
  private:
   Status FitHeadAndDrift(const GraphDataset& local);
+  /// PredictProba of \p g from its embedding \p z.
+  double HeadProba(const InteractionGraph& g,
+                   const std::vector<double>& z) const;
 
   FexIotConfig config_;
   std::unique_ptr<GnnModel> model_;

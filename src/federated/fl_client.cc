@@ -2,10 +2,10 @@
 
 namespace fexiot {
 
-FlClient::FlClient(int id, const GnnConfig& model_config,
-                   const TrainConfig& train,
-                   std::vector<PreparedGraph> train_graphs,
-                   std::vector<PreparedGraph> test_graphs, Rng rng)
+FlClient::FlClient(
+    int id, const GnnConfig& model_config, const TrainConfig& train,
+    std::vector<PreparedGraph> train_graphs,
+    std::shared_ptr<const std::vector<PreparedGraph>> test_graphs, Rng rng)
     : id_(id),
       model_([&] {
         GnnConfig c = model_config;
@@ -49,7 +49,7 @@ double FlClient::LocalTrain() {
 
 ClassificationMetrics FlClient::EvaluateLocal() {
   GnnTrainer trainer(&model_, train_config_);
-  return trainer.Evaluate(train_graphs_, test_graphs_);
+  return trainer.Evaluate(train_graphs_, *test_graphs_);
 }
 
 }  // namespace fexiot

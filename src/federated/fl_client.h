@@ -12,12 +12,15 @@ namespace fexiot {
 
 /// \brief One federated client (a house): holds its private graph shards,
 /// its GNN replica and its local linear head. Raw graphs never leave the
-/// client; only (layer-wise) model weights are exchanged.
+/// client; only (layer-wise) model weights are exchanged. The test pool is
+/// its cluster's, prepared once and shared read-only by every client of
+/// that cluster.
 class FlClient {
  public:
   FlClient(int id, const GnnConfig& model_config, const TrainConfig& train,
            std::vector<PreparedGraph> train_graphs,
-           std::vector<PreparedGraph> test_graphs, Rng rng);
+           std::shared_ptr<const std::vector<PreparedGraph>> test_graphs,
+           Rng rng);
 
   int id() const { return id_; }
   size_t num_train_graphs() const { return train_graphs_.size(); }
@@ -54,7 +57,7 @@ class FlClient {
     return train_graphs_;
   }
   const std::vector<PreparedGraph>& test_graphs() const {
-    return test_graphs_;
+    return *test_graphs_;
   }
   GnnModel* model() { return &model_; }
 
@@ -63,7 +66,7 @@ class FlClient {
   GnnModel model_;
   TrainConfig train_config_;
   std::vector<PreparedGraph> train_graphs_;
-  std::vector<PreparedGraph> test_graphs_;
+  std::shared_ptr<const std::vector<PreparedGraph>> test_graphs_;
   std::vector<std::vector<double>> layer_deltas_;
   std::vector<std::vector<double>> layer_delta_ema_;
   Rng rng_;

@@ -69,17 +69,23 @@ Status FederatedSimulator::SetupClients(
   if (total == 0) {
     return Status::InvalidArgument("SetupClients: the shards hold no graph");
   }
+  // Each cluster's test pool is prepared once and shared by its clients.
+  std::vector<std::shared_ptr<const std::vector<PreparedGraph>>> test_pools(
+      cluster_tests.size());
   for (size_t c = 0; c < part.indices.size(); ++c) {
     std::vector<InteractionGraph> train_graphs;
     for (size_t i : part.indices[c]) train_graphs.push_back(data.graph(i));
     const int cluster =
         part.client_cluster.empty() ? 0 : part.client_cluster[c];
-    const GraphDataset& test_pool =
-        cluster_tests[static_cast<size_t>(cluster) % cluster_tests.size()];
+    const size_t k = static_cast<size_t>(cluster) % cluster_tests.size();
+    if (test_pools[k] == nullptr) {
+      test_pools[k] = std::make_shared<const std::vector<PreparedGraph>>(
+          PrepareDataset(cluster_tests[k], model_config_));
+    }
     clients_.push_back(std::make_unique<FlClient>(
         static_cast<int>(c), model_config_, fl_config_.local,
-        PrepareGraphs(train_graphs, model_config_),
-        PrepareDataset(test_pool, model_config_), rng_.Fork()));
+        PrepareGraphs(train_graphs, model_config_), test_pools[k],
+        rng_.Fork()));
     client_weight_.push_back(static_cast<double>(part.indices[c].size()) /
                              static_cast<double>(total));
   }

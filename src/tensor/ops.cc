@@ -10,45 +10,8 @@ namespace fexiot {
 
 namespace {
 
-// Accumulation cores shared by the allocating Reference* forms and the
-// small-product path of the *Into variants. \p c must arrive zeroed.
-//
-// The forward product runs every GNN layer at the paper's widths (all of
-// them fall under kSmallFlops), and its short inner loop is sensitive to
-// where it lands relative to cache lines: on a 4-CPU AVX-512 Xeon, a
-// 16-byte shift of this file's code made a batched serving forward
-// (e2ebench serve-steady) ~17% slower. Pinning it to a cache line keeps
-// its speed independent of the size of unrelated code.
-[[gnu::aligned(64)]] void ReferenceMatMulAccum(const Matrix& a,
-                                               const Matrix& b, Matrix* c) {
-  const size_t n = a.rows(), k = a.cols(), m = b.cols();
-  // i-k-j loop order keeps the inner loop contiguous in both B and C.
-  for (size_t i = 0; i < n; ++i) {
-    double* crow = c->RowPtr(i);
-    const double* arow = a.RowPtr(i);
-    for (size_t p = 0; p < k; ++p) {
-      const double av = arow[p];
-      if (av == 0.0) continue;
-      const double* brow = b.RowPtr(p);
-      for (size_t j = 0; j < m; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
-void ReferenceMatMulTransAAccum(const Matrix& a, const Matrix& b, Matrix* c) {
-  const size_t n = a.rows(), k = a.cols(), m = b.cols();
-  for (size_t i = 0; i < n; ++i) {
-    const double* arow = a.RowPtr(i);
-    const double* brow = b.RowPtr(i);
-    for (size_t p = 0; p < k; ++p) {
-      const double av = arow[p];
-      if (av == 0.0) continue;
-      double* crow = c->RowPtr(p);
-      for (size_t j = 0; j < m; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
+// Accumulation core of ReferenceMatMulTransB and of the small-product
+// path of MatMulTransBInto. \p c must arrive zeroed.
 void ReferenceMatMulTransBAccum(const Matrix& a, const Matrix& b, Matrix* c) {
   const size_t n = a.rows(), k = a.cols(), m = b.rows();
   for (size_t i = 0; i < n; ++i) {
@@ -67,15 +30,36 @@ void ReferenceMatMulTransBAccum(const Matrix& a, const Matrix& b, Matrix* c) {
 
 Matrix ReferenceMatMul(const Matrix& a, const Matrix& b) {
   assert(a.cols() == b.rows());
-  Matrix c(a.rows(), b.cols());
-  ReferenceMatMulAccum(a, b, &c);
+  const size_t n = a.rows(), k = a.cols(), m = b.cols();
+  Matrix c(n, m);
+  // i-k-j loop order keeps the inner loop contiguous in both B and C.
+  for (size_t i = 0; i < n; ++i) {
+    double* crow = c.RowPtr(i);
+    const double* arow = a.RowPtr(i);
+    for (size_t p = 0; p < k; ++p) {
+      const double av = arow[p];
+      if (av == 0.0) continue;
+      const double* brow = b.RowPtr(p);
+      for (size_t j = 0; j < m; ++j) crow[j] += av * brow[j];
+    }
+  }
   return c;
 }
 
 Matrix ReferenceMatMulTransA(const Matrix& a, const Matrix& b) {
   assert(a.rows() == b.rows());
-  Matrix c(a.cols(), b.cols());
-  ReferenceMatMulTransAAccum(a, b, &c);
+  const size_t n = a.rows(), k = a.cols(), m = b.cols();
+  Matrix c(k, m);
+  for (size_t i = 0; i < n; ++i) {
+    const double* arow = a.RowPtr(i);
+    const double* brow = b.RowPtr(i);
+    for (size_t p = 0; p < k; ++p) {
+      const double av = arow[p];
+      if (av == 0.0) continue;
+      double* crow = c.RowPtr(p);
+      for (size_t j = 0; j < m; ++j) crow[j] += av * brow[j];
+    }
+  }
   return c;
 }
 
@@ -88,40 +72,121 @@ Matrix ReferenceMatMulTransB(const Matrix& a, const Matrix& b) {
 
 namespace {
 
-// Products below this flop count run the reference kernel: packing costs
-// more than it saves (GNN layers at hidden_dim <= 32 live here, and keep
-// the reference kernel's zero-skip on sparse propagation matrices).
+// Products below this flop count skip the blocked GEMM: packing costs more
+// than it saves. Every GNN layer at the paper's widths lives here.
 constexpr size_t kSmallFlops = 64 * 64 * 64;
+
+// The small-product kernel. A(i, p) is a[i * a_rs + p * a_cs], so the
+// same code serves A (a_rs = lda, a_cs = 1) and A^T (a_rs = 1,
+// a_cs = lda); B and C are row-major with strides ldb and ldc.
+//
+// One call computes an R x W tile of C, kept in local accumulators for
+// the whole k loop (the i-k-j reference reloads and re-stores the C row
+// on every k step). Each element still accumulates `acc += a(i,p) *
+// b(p,j)` from +0.0 over ascending p and skips a(i,p) == 0.0, exactly
+// like ReferenceMatMul/ReferenceMatMulTransA. Both live in this file and
+// get the same floating-point flags, so a multiply-add the compiler
+// contracts into an FMA is contracted in both, and the results match bit
+// for bit.
+//
+// The unrolled j loop is vectorized across the tile's columns; the p loop
+// must stay a sequence of multiply-adds. Left to itself, GCC turns a
+// one-column tile over contiguous operands (m == 1) into an in-order
+// vector reduction over p: a vector multiply, then scalar adds, which
+// rounds twice where the reference's FMA rounds once. Hence no loop
+// vectorization here.
+template <size_t R, size_t W>
+[[gnu::optimize("no-tree-loop-vectorize")]] void SmallTile(
+    const double* a, size_t a_rs, size_t a_cs, const double* b, size_t ldb,
+    double* c, size_t ldc, size_t k) {
+  double acc[R][W] = {};
+  for (size_t p = 0; p < k; ++p) {
+    const double* brow = b + p * ldb;
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) {
+      const double av = a[r * a_rs + p * a_cs];
+      if (av == 0.0) continue;
+#pragma GCC unroll 24
+      for (size_t j = 0; j < W; ++j) acc[r][j] += av * brow[j];
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 24
+    for (size_t j = 0; j < W; ++j) c[r * ldc + j] = acc[r][j];
+  }
+}
+
+// All n rows of one W-wide column strip, four rows per tile.
+template <size_t W>
+void SmallStrip(size_t n, size_t k, const double* a, size_t a_rs,
+                size_t a_cs, const double* b, size_t ldb, double* c,
+                size_t ldc) {
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    SmallTile<4, W>(a + i * a_rs, a_rs, a_cs, b, ldb, c + i * ldc, ldc, k);
+  }
+  const double* ai = a + i * a_rs;
+  double* ci = c + i * ldc;
+  switch (n - i) {
+    case 3: SmallTile<3, W>(ai, a_rs, a_cs, b, ldb, ci, ldc, k); break;
+    case 2: SmallTile<2, W>(ai, a_rs, a_cs, b, ldb, ci, ldc, k); break;
+    case 1: SmallTile<1, W>(ai, a_rs, a_cs, b, ldb, ci, ldc, k); break;
+    default: break;
+  }
+}
+
+// C (n x m) = op(A) (n x k) * B (k x m); overwrites every element of C.
+// The strip width is picked from the columns left, so the workloads'
+// hidden widths run in one pass (12: federate, 24: the audits) and 64
+// runs as 24 + 24 + 16. A 4 x 24 tile holds 24 of the 32 vector
+// registers of an AVX-512 core.
+void SmallMatMul(size_t n, size_t k, size_t m, const double* a, size_t a_rs,
+                 size_t a_cs, const double* b, size_t ldb, double* c,
+                 size_t ldc) {
+  for (size_t j = 0; j < m;) {
+    const size_t left = m - j;
+    const double* bj = b + j;
+    double* cj = c + j;
+    if (left >= 24) {
+      SmallStrip<24>(n, k, a, a_rs, a_cs, bj, ldb, cj, ldc);
+      j += 24;
+    } else if (left >= 16) {
+      SmallStrip<16>(n, k, a, a_rs, a_cs, bj, ldb, cj, ldc);
+      j += 16;
+    } else if (left >= 12) {
+      SmallStrip<12>(n, k, a, a_rs, a_cs, bj, ldb, cj, ldc);
+      j += 12;
+    } else if (left >= 8) {
+      SmallStrip<8>(n, k, a, a_rs, a_cs, bj, ldb, cj, ldc);
+      j += 8;
+    } else if (left >= 4) {
+      SmallStrip<4>(n, k, a, a_rs, a_cs, bj, ldb, cj, ldc);
+      j += 4;
+    } else {
+      SmallStrip<1>(n, k, a, a_rs, a_cs, bj, ldb, cj, ldc);
+      j += 1;
+    }
+  }
+}
 
 }  // namespace
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
-  assert(a.cols() == b.rows());
-  const size_t n = a.rows(), k = a.cols(), m = b.cols();
-  if (n * k * m < kSmallFlops) return ReferenceMatMul(a, b);
-  Matrix c(n, m);
-  gemm::GemmBlocked(n, k, m, a.data(), a.cols(), false, b.data(), b.cols(),
-                    false, c.data());
+  Matrix c;
+  MatMulInto(a, b, &c);
   return c;
 }
 
 Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
-  assert(a.rows() == b.rows());
-  const size_t n = a.cols(), k = a.rows(), m = b.cols();
-  if (n * k * m < kSmallFlops) return ReferenceMatMulTransA(a, b);
-  Matrix c(n, m);
-  gemm::GemmBlocked(n, k, m, a.data(), a.cols(), true, b.data(), b.cols(),
-                    false, c.data());
+  Matrix c;
+  MatMulTransAInto(a, b, &c);
   return c;
 }
 
 Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
-  assert(a.cols() == b.cols());
-  const size_t n = a.rows(), k = a.cols(), m = b.rows();
-  if (n * k * m < kSmallFlops) return ReferenceMatMulTransB(a, b);
-  Matrix c(n, m);
-  gemm::GemmBlocked(n, k, m, a.data(), a.cols(), false, b.data(), b.cols(),
-                    true, c.data());
+  Matrix c;
+  MatMulTransBInto(a, b, &c);
   return c;
 }
 
@@ -129,10 +194,11 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c) {
   assert(a.cols() == b.rows());
   assert(c != &a && c != &b && "MatMulInto output must not alias an input");
   const size_t n = a.rows(), k = a.cols(), m = b.cols();
-  c->Resize(n, m);  // reuses capacity; zeroed accumulators
   if (n * k * m < kSmallFlops) {
-    ReferenceMatMulAccum(a, b, c);
+    c->ResizeForOverwrite(n, m);
+    SmallMatMul(n, k, m, a.data(), k, 1, b.data(), m, c->data(), m);
   } else {
+    c->Resize(n, m);  // reuses capacity; zeroed accumulators
     gemm::GemmBlocked(n, k, m, a.data(), a.cols(), false, b.data(), b.cols(),
                       false, c->data());
   }
@@ -142,10 +208,11 @@ void MatMulTransAInto(const Matrix& a, const Matrix& b, Matrix* c) {
   assert(a.rows() == b.rows());
   assert(c != &a && c != &b && "MatMulTransAInto output must not alias an input");
   const size_t n = a.cols(), k = a.rows(), m = b.cols();
-  c->Resize(n, m);
   if (n * k * m < kSmallFlops) {
-    ReferenceMatMulTransAAccum(a, b, c);
+    c->ResizeForOverwrite(n, m);
+    SmallMatMul(n, k, m, a.data(), 1, n, b.data(), m, c->data(), m);
   } else {
+    c->Resize(n, m);
     gemm::GemmBlocked(n, k, m, a.data(), a.cols(), true, b.data(), b.cols(),
                       false, c->data());
   }
@@ -173,36 +240,17 @@ void MatMulBlocksInto(const Matrix& a, const Matrix& b,
          row_offsets.back() == a.rows());
   const size_t k = a.cols(), m = b.cols();
   c->Resize(a.rows(), m);  // reuses capacity; zeroed accumulators
-  // Panel width over the inner dimension: 64 doubles of B rows (64 * m
-  // doubles touched per panel) stay L1-resident while the panel sweeps
-  // all of a block's rows.
-  constexpr size_t kPanel = 64;
   for (size_t bi = 0; bi + 1 < row_offsets.size(); ++bi) {
     const size_t r0 = row_offsets[bi], r1 = row_offsets[bi + 1];
     assert(r1 >= r0);
     const size_t n = r1 - r0;
     if (n == 0) continue;
+    // The block's rows are contiguous at full row stride, so either
+    // kernel can treat them as a standalone n x k / n x m pair.
     if (n * k * m < kSmallFlops) {
-      // Reference kernel, k-panelled: identical per-element accumulation
-      // order (p ascends 0..k-1 for every c[i][j]; same `crow[j] += av *
-      // brow[j]` contraction as ReferenceMatMulAccum), but B panels are
-      // reused across rows instead of streaming all of B per row.
-      for (size_t p0 = 0; p0 < k; p0 += kPanel) {
-        const size_t p1 = std::min(k, p0 + kPanel);
-        for (size_t i = r0; i < r1; ++i) {
-          double* crow = c->RowPtr(i);
-          const double* arow = a.RowPtr(i);
-          for (size_t p = p0; p < p1; ++p) {
-            const double av = arow[p];
-            if (av == 0.0) continue;
-            const double* brow = b.RowPtr(p);
-            for (size_t j = 0; j < m; ++j) crow[j] += av * brow[j];
-          }
-        }
-      }
+      SmallMatMul(n, k, m, a.RowPtr(r0), k, 1, b.data(), m, c->RowPtr(r0),
+                  m);
     } else {
-      // The block's rows are contiguous at full row stride, so the
-      // blocked GEMM can treat them as a standalone n x k / n x m pair.
       gemm::GemmBlocked(n, k, m, a.RowPtr(r0), a.cols(), false, b.data(),
                         b.cols(), false, c->RowPtr(r0));
     }

@@ -14,8 +14,10 @@ namespace fexiot {
 /// startup by CPUID — scalar, AVX2 (6x8 tile) or AVX-512 (8x16 tile),
 /// overridable via the FEXIOT_ISA environment variable — and
 /// row-block-parallel over the shared parallel::For pool. Small products
-/// (under 64^3 flops) fall through to the reference kernel, where packing
-/// overhead dominates. See docs/KERNELS.md for the full architecture.
+/// (under 64^3 flops, where packing overhead dominates — every GNN layer
+/// at the paper's widths) run a register-tiled kernel that equals
+/// ReferenceMatMul bit for bit. See docs/KERNELS.md for the full
+/// architecture.
 ///
 /// Contracts:
 ///  - Thread-safety: safe to call concurrently from many threads; callers
@@ -30,7 +32,8 @@ namespace fexiot {
 ///    rounding; see docs/KERNELS.md and tests/test_kernels.cc). The
 ///    blocked path may differ from the reference kernel by floating-point
 ///    reassociation across depth blocks when the inner dimension exceeds
-///    the depth blocking factor.
+///    the depth blocking factor. The small-product path equals the
+///    reference kernel bit for bit in every build.
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
 /// \brief C = A^T * B without materializing the transpose (A is stored
@@ -44,11 +47,11 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b);
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 
 /// \brief Reference GEMM kernels: the original naive triple-loop
-/// implementations, retained as the parity oracle for the blocked kernels
-/// (tests/test_kernels.cc) and as the baseline bench_kernels measures
-/// speedup against. Also the small-product fast path of MatMul*, where
-/// their zero-skip keeps sparse GNN propagation products cheap.
-/// Single-threaded and ISA-independent (never dispatched).
+/// implementations (i-k-j, skipping a(i,k) == 0.0), retained as the
+/// parity oracle for MatMul* (tests/test_kernels.cc; the small-product
+/// path must match them bit for bit) and as the baseline bench_kernels
+/// measures speedup against. Nothing outside tests and benches calls
+/// them. Single-threaded and ISA-independent (never dispatched).
 Matrix ReferenceMatMul(const Matrix& a, const Matrix& b);
 Matrix ReferenceMatMulTransA(const Matrix& a, const Matrix& b);
 Matrix ReferenceMatMulTransB(const Matrix& a, const Matrix& b);
@@ -67,16 +70,12 @@ void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* c);
 /// blocks by \p row_offsets (B+1 ascending entries, front() == 0,
 /// back() == a.rows()), and each block [r0, r1) is multiplied as if it
 /// were a standalone n_b x k matrix. Every block dispatches on its OWN
-/// shape against the same small-product threshold MatMulInto uses, so
-/// block b's output rows are bit-identical to
-/// MatMulInto(rows r0..r1 of A, B) — stacking requests into a batch
-/// never flips a block from the reference kernel to the blocked GEMM.
-/// The reference path here walks the inner dimension in L1-sized panels
-/// (per output element the accumulation order over k is unchanged —
-/// still strictly ascending — so bits match ReferenceMatMulAccum), which
-/// keeps the shared B operand cache-resident across the whole batch
-/// instead of re-streaming it per row. Same aliasing / thread-safety
-/// contracts as MatMulInto.
+/// shape against the same small-product threshold MatMulInto uses, and a
+/// small block runs the same register-tiled kernel, so block b's output
+/// rows are bit-identical to MatMulInto(rows r0..r1 of A, B) — stacking
+/// requests into a batch never flips a block from the small-product
+/// kernel to the blocked GEMM. Same aliasing / thread-safety contracts
+/// as MatMulInto.
 void MatMulBlocksInto(const Matrix& a, const Matrix& b,
                       const std::vector<size_t>& row_offsets, Matrix* c);
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include "core/fexiot.h"
 #include "core/testbed.h"
 
@@ -120,6 +124,52 @@ TEST(FexIoT, DriftScoreHigherForNovelPatterns) {
   }
   // Novel structural patterns exceed the MAD drift threshold on average.
   EXPECT_GT(novel / 6.0, 3.0);
+}
+
+// Fuse returns a graph with no nodes when no rule fired. It embeds to the
+// zero vector (the empty node set's embedding in GnnGraphScorer), so the
+// drift filter scores it and Analyze returns a benign verdict.
+TEST(FexIoT, EmptyGraphEmbedsToZeroAndAnalyzes) {
+  Rng rng(77);
+  FexIoT fexiot(SmallConfig());
+  ASSERT_TRUE(fexiot.TrainLocal(SmallCorpus(40, &rng)).ok());
+  const InteractionGraph empty;
+  const std::vector<double> z = fexiot.Embed(empty);
+  EXPECT_EQ(z, std::vector<double>(
+                   static_cast<size_t>(SmallConfig().gnn.embedding_dim), 0.0));
+  EXPECT_EQ(fexiot.PredictProba(empty), 0.0);
+  EXPECT_EQ(fexiot.Predict(empty), 0);
+  const double drift = fexiot.DriftScore(empty);
+  EXPECT_TRUE(std::isfinite(drift));
+  EXPECT_EQ(fexiot.IsDrifting(empty), drift > SmallConfig().drift.threshold);
+  const FexIoT::Verdict v = fexiot.Analyze(empty);
+  EXPECT_EQ(v.label, 0);
+  EXPECT_EQ(v.probability, 0.0);
+  EXPECT_EQ(std::memcmp(&v.drift_score, &drift, sizeof drift), 0);
+  EXPECT_FALSE(v.explanation.has_value());
+  EXPECT_TRUE(v.explanation_text.empty());
+}
+
+// Analyze embeds each graph once and feeds both the head and the drift
+// filter; its fields equal the single-purpose calls bit for bit.
+TEST(FexIoT, AnalyzeEqualsPredictProbaAndDriftScore) {
+  Rng rng(78);
+  FexIoT fexiot(SmallConfig());
+  ASSERT_TRUE(fexiot.TrainLocal(SmallCorpus(60, &rng)).ok());
+  const GraphDataset probe = SmallCorpus(24, &rng);
+  int flagged = 0;
+  for (const InteractionGraph& g : probe.graphs()) {
+    const FexIoT::Verdict v = fexiot.Analyze(g);
+    const double p = fexiot.PredictProba(g);
+    const double d = fexiot.DriftScore(g);
+    EXPECT_EQ(std::memcmp(&v.probability, &p, sizeof p), 0);
+    EXPECT_EQ(std::memcmp(&v.drift_score, &d, sizeof d), 0);
+    EXPECT_EQ(v.label, fexiot.Predict(g));
+    EXPECT_EQ(v.drifting, fexiot.IsDrifting(g));
+    EXPECT_EQ(v.explanation.has_value(), v.label == 1 && g.num_nodes() > 1);
+    flagged += v.label;
+  }
+  EXPECT_GT(flagged, 0);
 }
 
 }  // namespace

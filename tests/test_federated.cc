@@ -148,6 +148,32 @@ TEST(SetupClients, AcceptsTheFixture) {
   EXPECT_EQ(sim.num_clients(), f.corpus.partition.indices.size());
 }
 
+// Each cluster's test pool is prepared once: clients of one cluster hold
+// the same pool object, clients of different clusters do not.
+TEST(SetupClients, SharesEachClusterTestPool) {
+  const Fixture& f = Fixture::Get();
+  FederatedSimulator sim(f.gc, f.fc);
+  ASSERT_TRUE(sim.SetupClients(f.corpus.data, f.corpus.partition,
+                               f.corpus.cluster_tests)
+                  .ok());
+  const std::vector<int>& cluster = f.corpus.partition.client_cluster;
+  ASSERT_EQ(cluster.size(), sim.num_clients());
+  bool same_cluster_pair = false, cross_cluster_pair = false;
+  for (size_t x = 0; x < sim.num_clients(); ++x) {
+    EXPECT_EQ(sim.client(x)->test_graphs().size(),
+              f.corpus.cluster_tests[static_cast<size_t>(cluster[x])].size());
+    for (size_t y = x + 1; y < sim.num_clients(); ++y) {
+      const bool same = cluster[x] == cluster[y];
+      (same ? same_cluster_pair : cross_cluster_pair) = true;
+      EXPECT_EQ(&sim.client(x)->test_graphs() == &sim.client(y)->test_graphs(),
+                same)
+          << "clients " << x << " and " << y;
+    }
+  }
+  EXPECT_TRUE(same_cluster_pair);
+  EXPECT_TRUE(cross_cluster_pair);
+}
+
 TEST(SetupClients, RejectsEmptyClusterTests) {
   const Fixture& f = Fixture::Get();
   ExpectSetupRejected(f.corpus.data, f.corpus.partition, {});

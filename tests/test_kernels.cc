@@ -4,7 +4,9 @@
 // MatMul/MatMulTransA/MatMulTransB are checked against the retained
 // reference kernels over a randomized shape sweep (degenerate, tiny,
 // non-block-multiple, wide-C pack-reuse, and above the small-product
-// cutoff so the blocked path actually runs), must be bit-identical across
+// cutoff so the blocked path actually runs); under the cutoff the
+// register-tiled kernel must match the reference bit for bit (memcmp over
+// a sweep of the paper's shapes). Results must be bit-identical across
 // pool sizes and across the AVX2/AVX-512 tiers (ULP-bounded against the
 // scalar tier — see docs/KERNELS.md), and must survive concurrent callers
 // sharing the global pool (run under -DFEXIOT_SANITIZE=thread in
@@ -12,8 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -103,6 +108,118 @@ TEST(Kernels, BlockedTransBMatchesReference) {
     const Matrix b = Matrix::RandomNormal(s.m, s.k, 1.0, &rng);
     ExpectMatricesNear(ReferenceMatMulTransB(a, b), MatMulTransB(a, b), s.k,
                        "MatMulTransB", s);
+  }
+}
+
+// --- Small-product path: bit for bit against the reference --------------
+//
+// Products under the small-flop cutoff (64^3, tensor/ops.cc) run the
+// register-tiled kernel, whose contract is stronger than the blocked
+// path's: it equals ReferenceMatMul / ReferenceMatMulTransA bit for bit in
+// every build (FMA-contracted under -march=native or not; ci/run_tests.sh
+// also runs this binary from a -DFEXIOT_NATIVE=OFF build). The sweep
+// covers every tile remainder at the paper's widths and depths.
+constexpr size_t kSmallFlops = 64 * 64 * 64;
+
+std::vector<Shape> SmallPathShapes() {
+  std::vector<Shape> shapes;
+  std::vector<size_t> widths;
+  for (size_t m = 1; m <= 17; ++m) widths.push_back(m);
+  for (size_t m : {24, 32, 48, 64}) widths.push_back(m);
+  for (size_t n = 1; n <= 17; ++n) {
+    for (size_t k : {1, 2, 7, 12, 24, 64, 308}) {
+      for (size_t m : widths) {
+        if (n * k * m < kSmallFlops) shapes.push_back({n, k, m});
+      }
+    }
+  }
+  return shapes;
+}
+
+// Normal entries with +0.0 and -0.0 mixed in, and one all-zero row.
+Matrix WithSignedZeros(size_t rows, size_t cols, Rng* rng) {
+  Matrix a = Matrix::RandomNormal(rows, cols, 1.0, rng);
+  for (size_t i = 0; i < a.size(); ++i) {
+    const uint64_t u = rng->UniformInt(uint64_t{5});
+    if (u == 0) a.data()[i] = 0.0;
+    if (u == 1) a.data()[i] = -0.0;
+  }
+  double* zero_row = a.RowPtr(rows / 2);
+  std::fill(zero_row, zero_row + cols, 0.0);
+  return a;
+}
+
+// B with one +inf in its last row: a term a(i,p) * inf is skipped exactly
+// when a(i,p) is a zero of either sign, so any change to the zero-skip
+// shows up as a NaN.
+Matrix WithInfinity(size_t rows, size_t cols, Rng* rng) {
+  Matrix b = Matrix::RandomNormal(rows, cols, 1.0, rng);
+  b.At(rows - 1, cols / 2) = std::numeric_limits<double>::infinity();
+  return b;
+}
+
+// A reused output whose stale contents would show through any element
+// the kernel failed to write.
+Matrix Stale(size_t rows, size_t cols) {
+  return Matrix(rows, cols, std::numeric_limits<double>::quiet_NaN());
+}
+
+void ExpectSameBits(const Matrix& expected, const Matrix& got,
+                    const char* what, const Shape& s) {
+  ASSERT_TRUE(expected.SameShape(got))
+      << what << " shape mismatch at n=" << s.n << " k=" << s.k
+      << " m=" << s.m;
+  ASSERT_EQ(std::memcmp(expected.data(), got.data(),
+                        expected.size() * sizeof(double)),
+            0)
+      << what << " differs from the reference at n=" << s.n << " k=" << s.k
+      << " m=" << s.m;
+}
+
+TEST(Kernels, SmallMatMulEqualsReferenceBitForBit) {
+  Rng rng(19);
+  const std::vector<Shape> shapes = SmallPathShapes();
+  ASSERT_GT(shapes.size(), 2000u);
+  for (const Shape& s : shapes) {
+    const Matrix a = WithSignedZeros(s.n, s.k, &rng);
+    const Matrix b = WithInfinity(s.k, s.m, &rng);
+    const Matrix expected = ReferenceMatMul(a, b);
+    Matrix c = Stale(s.n + 1, s.m + 1);
+    MatMulInto(a, b, &c);
+    ExpectSameBits(expected, c, "MatMulInto", s);
+    ExpectSameBits(expected, MatMul(a, b), "MatMul", s);
+  }
+}
+
+TEST(Kernels, SmallMatMulBlocksEqualsReferenceBitForBit) {
+  Rng rng(20);
+  for (const Shape& s : SmallPathShapes()) {
+    const Matrix a = WithSignedZeros(s.n, s.k, &rng);
+    const Matrix b = WithInfinity(s.k, s.m, &rng);
+    // A random partition of the rows that starts with an empty block and
+    // a one-row block; later blocks hold 0 to 4 rows.
+    std::vector<size_t> offsets = {0, 0, 1};
+    while (offsets.back() < s.n) {
+      const size_t rows = rng.UniformInt(uint64_t{5});
+      offsets.push_back(std::min(s.n, offsets.back() + rows));
+    }
+    Matrix c = Stale(s.n + 1, s.m + 1);
+    MatMulBlocksInto(a, b, offsets, &c);
+    ExpectSameBits(ReferenceMatMul(a, b), c, "MatMulBlocksInto", s);
+  }
+}
+
+TEST(Kernels, SmallMatMulTransAEqualsReferenceBitForBit) {
+  Rng rng(21);
+  for (const Shape& s : SmallPathShapes()) {
+    // op(A) is n x k, so A is stored k x n.
+    const Matrix a = WithSignedZeros(s.k, s.n, &rng);
+    const Matrix b = WithInfinity(s.k, s.m, &rng);
+    const Matrix expected = ReferenceMatMulTransA(a, b);
+    Matrix c = Stale(s.n + 1, s.m + 1);
+    MatMulTransAInto(a, b, &c);
+    ExpectSameBits(expected, c, "MatMulTransAInto", s);
+    ExpectSameBits(expected, MatMulTransA(a, b), "MatMulTransA", s);
   }
 }
 
