@@ -26,25 +26,32 @@
 #    pool / parallel facade / blocked GEMM incl. parallel PackB and pack
 #    reuse / SpMM row fan-out / corpus fan-out / federated rounds incl.
 #    the async policies / lazy-state scale driver / batched serving
-#    inference / parallel explanation search with its shared score memo).
+#    inference / parallel explanation search with its shared score memo);
+#  - the whole tier-1 suite under AddressSanitizer + UndefinedBehavior-
+#    Sanitizer (-DFEXIOT_SANITIZE=address,undefined, tests only, in
+#    RelWithDebInfo): any out-of-bounds access, use-after-free, leak or
+#    undefined behaviour fails the run, and libstdc++'s container bounds
+#    assertions are on.
 #
 # Usage: ci/run_tests.sh [build-dir] [tsan-build-dir] [portable-build-dir]
+#                        [asan-build-dir]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 TSAN_DIR="${2:-build-tsan}"
 PORTABLE_DIR="${3:-build-portable}"
+ASAN_DIR="${4:-build-asan}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-echo "==> [1/8] configure + build (${BUILD_DIR})"
+echo "==> [1/9] configure + build (${BUILD_DIR})"
 cmake -B "${BUILD_DIR}" -S . >/dev/null
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
-echo "==> [2/8] full test suite"
+echo "==> [2/9] full test suite"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
-echo "==> [3/8] GEMM ISA dispatch sweep (FEXIOT_ISA=scalar/avx2/avx512)"
+echo "==> [3/9] GEMM ISA dispatch sweep (FEXIOT_ISA=scalar/avx2/avx512)"
 for isa in scalar avx2 avx512; do
   echo "    FEXIOT_ISA=${isa}"
   FEXIOT_ISA="${isa}" "${BUILD_DIR}/tests/test_kernels" \
@@ -52,7 +59,7 @@ for isa in scalar avx2 avx512; do
 done
 echo "    kernel parity holds under every FEXIOT_ISA tier"
 
-echo "==> [4/8] small-product kernel vs oracle without FMA contraction (${PORTABLE_DIR})"
+echo "==> [4/9] small-product kernel vs oracle without FMA contraction (${PORTABLE_DIR})"
 cmake -B "${PORTABLE_DIR}" -S . \
   -DFEXIOT_NATIVE=OFF \
   -DFEXIOT_BUILD_BENCHMARKS=OFF \
@@ -62,21 +69,21 @@ cmake --build "${PORTABLE_DIR}" -j "${JOBS}" --target test_kernels test_sparse
 "${PORTABLE_DIR}/tests/test_sparse" --gtest_brief=1 >/dev/null
 echo "    small path equals the Reference* oracle bit for bit in both build modes"
 
-echo "==> [5/8] scale smoke (100k and 1M clients on the runtime, RSS bounds)"
+echo "==> [5/9] scale smoke (100k and 1M clients on the runtime, RSS bounds)"
 FEXIOT_SLOW_TESTS=1 "${BUILD_DIR}/tests/test_scale" \
   --gtest_filter='ScaleSmoke.*' --gtest_brief=1
 echo "    100k- and 1M-client sampled rounds stay within their RSS bounds"
 
-echo "==> [6/8] serving soak (seeded Poisson load, p99 bound)"
+echo "==> [6/9] serving soak (seeded Poisson load, p99 bound)"
 FEXIOT_SERVING_SOAK=1 "${BUILD_DIR}/tests/test_serving" \
   --gtest_filter='ServingSoak.*' --gtest_brief=1
 echo "    soak met the latency bound"
 
-echo "==> [7/8] end-to-end benchmark smoke (digests at 1/nproc threads, traced)"
+echo "==> [7/9] end-to-end benchmark smoke (digests at 1/nproc threads, traced)"
 python3 e2ebench/run.py --smoke
 echo "    every workload digest held across thread counts and tracing"
 
-echo "==> [8/8] TSAN pass (test_common + test_kernels + test_sparse + test_corpus_determinism + test_runtime + test_scale + test_serving + test_explain)"
+echo "==> [8/9] TSAN pass (test_common + test_kernels + test_sparse + test_corpus_determinism + test_runtime + test_scale + test_serving + test_explain)"
 cmake -B "${TSAN_DIR}" -S . \
   -DFEXIOT_SANITIZE=thread \
   -DFEXIOT_BUILD_BENCHMARKS=OFF \
@@ -92,4 +99,14 @@ FEXIOT_THREADS=4 "${TSAN_DIR}/tests/test_scale"
 FEXIOT_THREADS=4 "${TSAN_DIR}/tests/test_serving"
 FEXIOT_THREADS=4 "${TSAN_DIR}/tests/test_explain"
 
-echo "OK: tier-1 suite green (determinism pinned in-process), small path exact in both build modes, TSAN clean"
+echo "==> [9/9] ASan+UBSan pass (full tier-1 suite, ${ASAN_DIR})"
+cmake -B "${ASAN_DIR}" -S . \
+  -DFEXIOT_SANITIZE=address,undefined \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DFEXIOT_BUILD_BENCHMARKS=OFF \
+  -DFEXIOT_BUILD_EXAMPLES=OFF >/dev/null
+cmake --build "${ASAN_DIR}" -j "${JOBS}"
+ctest --test-dir "${ASAN_DIR}" --output-on-failure -j "${JOBS}"
+echo "    no memory error, leak or undefined behaviour in the suite"
+
+echo "OK: tier-1 suite green (determinism pinned in-process), small path exact in both build modes, TSAN and ASan+UBSan clean"

@@ -19,13 +19,16 @@ namespace {
 /// (guards against splitting on label-skew noise).
 constexpr double kSplitQualityMargin = 0.05;
 
-/// Cosine-similarity matrix over per-client vectors.
+/// Cosine-similarity matrix over per-client vectors, with each vector's
+/// norm computed once instead of once per pair.
 Matrix SimilarityMatrix(const std::vector<std::vector<double>>& v) {
+  std::vector<double> norm(v.size());
+  for (size_t i = 0; i < v.size(); ++i) norm[i] = VectorNorm(v[i]);
   Matrix m(v.size(), v.size());
   for (size_t i = 0; i < v.size(); ++i) {
     m.At(i, i) = 1.0;
     for (size_t j = i + 1; j < v.size(); ++j) {
-      const double s = CosineSimilarity(v[i], v[j]);
+      const double s = CosineSimilarity(v[i], v[j], norm[i], norm[j]);
       m.At(i, j) = s;
       m.At(j, i) = s;
     }
@@ -48,6 +51,7 @@ Status FederatedSimulator::SetupClients(
     const std::vector<GraphDataset>& cluster_tests) {
   clients_.clear();
   client_weight_.clear();
+  FEXIOT_RETURN_NOT_OK(ValidateGnnConfig(model_config_));
   if (cluster_tests.empty()) {
     return Status::InvalidArgument("SetupClients: no cluster test pool");
   }
@@ -124,11 +128,19 @@ void FederatedSimulator::AverageLayer(int layer,
     avg.Add(client_weight_[static_cast<size_t>(c)] * AggScale(c) / weight_sum,
             ThroughWire(c, local, &scratch));
   }
+  // The install crosses the downlink: each member receives the average
+  // as encoded with its own codec. The encoding depends on nothing but
+  // the codec and the average, so each codec in the group encodes once.
+  const std::vector<double>& average = avg.weighted_sum();
+  std::vector<double> encoded[kNumWireCodecs];
   for (int c : group) {
-    // The install crosses the downlink: each member receives the average
-    // as encoded with its own codec.
+    const WireCodec codec = codec_of_[static_cast<size_t>(c)];
+    std::vector<double>& install = encoded[static_cast<int>(codec)];
+    if (codec != WireCodec::kFp64 && install.empty()) {
+      install = CodecRoundTripped(codec, average);
+    }
     clients_[static_cast<size_t>(c)]->SetLayerWeights(
-        layer, ThroughWire(c, avg.weighted_sum(), &scratch));
+        layer, codec == WireCodec::kFp64 ? average : install);
   }
 }
 
@@ -261,8 +273,8 @@ std::vector<double> FederatedSimulator::ConcatAllDeltas(int client) const {
 
 std::vector<int> FederatedSimulator::GateAndBisect(
     const std::vector<int>& group, const std::vector<int>& active,
-    const std::vector<std::vector<double>>& updates,
-    std::vector<std::vector<double>> signals, Matrix* sim) const {
+    const std::function<const Vectors&()>& observe_updates,
+    const std::function<Vectors()>& observe_signals, Matrix* sim) const {
   // Splits wait until the whole group delivered fresh updates: bisecting
   // on a partial view would assign absent members by stale information
   // (and could duplicate them across halves).
@@ -270,6 +282,7 @@ std::vector<int> FederatedSimulator::GateAndBisect(
       static_cast<int>(group.size()) < fl_config_.min_cluster_size) {
     return {};
   }
+  const Vectors& updates = observe_updates();
   double weight_sum = 0.0;
   for (int c : active) weight_sum += client_weight_[static_cast<size_t>(c)];
   StreamingAccumulator mean;
@@ -284,6 +297,7 @@ std::vector<int> FederatedSimulator::GateAndBisect(
     return {};
   }
   // GCFL+ sequences can have different lengths early on; pad.
+  Vectors signals = observe_signals();
   size_t max_len = 0;
   for (const auto& s : signals) max_len = std::max(max_len, s.size());
   for (auto& s : signals) s.resize(max_len, 0.0);
@@ -314,22 +328,35 @@ bool FederatedSimulator::FexiotRound(const std::vector<int>& layers,
       // Gate of Eq. 3 on this layer's deltas within the delivered part of
       // the group. The server observes every clustering signal through the
       // member's uplink codec (fp64: the delta itself).
-      std::vector<std::vector<double>> deltas, drift;
-      std::vector<double> scratch;
-      for (int c : active) {
-        const FlClient& cl = *clients_[static_cast<size_t>(c)];
-        deltas.push_back(ThroughWire(c, cl.LayerDelta(l), &scratch));
-        // Cluster on the stable cross-round drift direction.
-        drift.push_back(CodecRoundTripped(codec_of_[static_cast<size_t>(c)],
-                                          cl.LayerDeltaEma(l)));
-      }
       // Lines 13-16: bisect by cosine similarity of the layer's local
       // updates. (The pseudocode writes similarity over W^l; all group
       // members share the aggregated W^l, so the informative signal is
-      // the local update DeltaW^l, as in Sattler et al.)
+      // the local update DeltaW^l, as in Sattler et al.) The gate asks for
+      // the deltas only once the whole group delivered, and for the drift
+      // signals only once it opens.
+      Vectors deltas;
       Matrix sim;
-      const std::vector<int> split =
-          GateAndBisect(group, active, deltas, std::move(drift), &sim);
+      const std::vector<int> split = GateAndBisect(
+          group, active,
+          [&]() -> const Vectors& {
+            for (int c : active) {
+              deltas.push_back(CodecRoundTripped(
+                  codec_of_[static_cast<size_t>(c)],
+                  clients_[static_cast<size_t>(c)]->LayerDelta(l)));
+            }
+            return deltas;
+          },
+          [&] {
+            // Cluster on the stable cross-round drift direction.
+            Vectors drift;
+            for (int c : active) {
+              drift.push_back(CodecRoundTripped(
+                  codec_of_[static_cast<size_t>(c)],
+                  clients_[static_cast<size_t>(c)]->LayerDeltaEma(l)));
+            }
+            return drift;
+          },
+          &sim);
       if (split.empty()) continue;
       // Split-quality check: only commit the bisection when real cluster
       // structure exists — the mean within-half similarity must clearly
@@ -414,8 +441,11 @@ void FederatedSimulator::ClusteredWholeModelRound(
       }
       Matrix sim;
       split = GateAndBisect(
-          cluster, active, deltas,
-          algorithm == FlAlgorithm::kGcfl ? std::move(sequences) : deltas,
+          cluster, active, [&]() -> const Vectors& { return deltas; },
+          [&] {
+            return algorithm == FlAlgorithm::kGcfl ? std::move(sequences)
+                                                   : deltas;
+          },
           &sim);
     }
     if (split.empty()) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -40,8 +41,9 @@ class FederatedSimulator {
   /// \brief Builds clients whose entire shard is training data and whose
   /// evaluation set is the held-out pool of the client's latent cluster
   /// (the Section IV-C 80/20 protocol). Fails with InvalidArgument, and
-  /// leaves no clients (so Run reports FailedPrecondition), when
-  /// \p cluster_tests is empty, part.client_cluster is non-empty but
+  /// leaves no clients (so Run reports FailedPrecondition), when the
+  /// GnnConfig fails ValidateGnnConfig, \p cluster_tests is empty,
+  /// part.client_cluster is non-empty but
   /// shorter than part.indices, a shard index is past the end of \p data,
   /// or the shards hold no graph at all.
   Status SetupClients(const GraphDataset& data, const ClientPartition& part,
@@ -121,20 +123,24 @@ class FederatedSimulator {
   void ClusteredWholeModelRound(FlAlgorithm algorithm,
                                 const std::vector<int>& delivered);
 
+  using Vectors = std::vector<std::vector<double>>;
+
   /// Eq. 3 gate and cosine bisection (Algorithm 1 lines 13-16) of one
-  /// group. \p updates[i] is what the server observed of active[i]'s
-  /// update; \p signals[i] is what it clusters active[i] on (zero-padded
-  /// to a common length). A group splits only when every member
-  /// delivered, it holds at least min_cluster_size members, its weighted
-  /// mean update is stationary (norm < epsilon1) while some member still
-  /// moves (max norm > epsilon2), and neither half is empty. Returns the
-  /// half (0/1) of each group member and fills \p sim with the signals'
-  /// cosine similarities; returns empty when the group stays whole.
-  std::vector<int> GateAndBisect(const std::vector<int>& group,
-                                 const std::vector<int>& active,
-                                 const std::vector<std::vector<double>>& updates,
-                                 std::vector<std::vector<double>> signals,
-                                 Matrix* sim) const;
+  /// group. \p observe_updates()[i] is what the server observed of
+  /// active[i]'s update; \p observe_signals()[i] is what it clusters
+  /// active[i] on (zero-padded to a common length). A group splits only
+  /// when every member delivered, it holds at least min_cluster_size
+  /// members, its weighted mean update is stationary (norm < epsilon1)
+  /// while some member still moves (max norm > epsilon2), and neither
+  /// half is empty. Each observation is requested at most once and only
+  /// when needed: the updates once the group is whole and large enough,
+  /// the signals once the gate opens. Returns the half (0/1) of each group
+  /// member and fills \p sim with the signals' cosine similarities;
+  /// returns empty when the group stays whole.
+  std::vector<int> GateAndBisect(
+      const std::vector<int>& group, const std::vector<int>& active,
+      const std::function<const Vectors&()>& observe_updates,
+      const std::function<Vectors()>& observe_signals, Matrix* sim) const;
 
   /// Server-side view of the client's whole-model delta: each layer
   /// crosses the wire on its own (quantization is per tensor).

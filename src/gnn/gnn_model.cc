@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "tensor/ops.h"
 
@@ -94,49 +95,92 @@ void PoolMeanMaxRows(const Matrix& hf, size_t r0, size_t r1, double* pooled,
 
 }  // namespace
 
+Status ValidateGnnConfig(const GnnConfig& config) {
+  switch (config.type) {
+    case GnnType::kGcn:
+    case GnnType::kGin:
+    case GnnType::kMagnn:
+      break;
+    default:
+      return Status::InvalidArgument("gnn: unknown model type");
+  }
+  const std::pair<const char*, int> dims[] = {
+      {"input_dim", config.input_dim},
+      {"hetero_input_dim", config.hetero_input_dim},
+      {"hidden_dim", config.hidden_dim},
+      {"num_layers", config.num_layers},
+      {"embedding_dim", config.embedding_dim},
+  };
+  for (const auto& [name, value] : dims) {
+    if (value < 1) {
+      return Status::InvalidArgument(std::string("gnn: ") + name +
+                                     " must be >= 1");
+    }
+  }
+  return Status::OK();
+}
+
 PreparedGraph PrepareGraph(const InteractionGraph& g,
                            const GnnConfig& config) {
   PreparedGraph p;
   p.num_nodes = g.num_nodes();
   p.label = g.label();
-  const size_t n = static_cast<size_t>(g.num_nodes());
-  const bool magnn = config.type == GnnType::kMagnn;
   p.prop_csr = BuildPropagationCsr(g, config.type == GnnType::kGin);
-
-  // Feature matrices, one pass per node: pad/truncate into the word-space
-  // row; sentence-space rows additionally land in `features_hetero`, which
-  // only MAGNN allocates (GCN/GIN on heterogeneous graphs fold the
-  // sentence embedding into the word slot by truncation). The padding
-  // contract is documented on PreparedGraph.
-  p.features = Matrix(n, static_cast<size_t>(config.input_dim));
-  if (magnn) {
-    p.features_hetero =
-        Matrix(n, static_cast<size_t>(config.hetero_input_dim));
-  }
-  p.node_space.assign(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    const auto& f = g.node(static_cast<int>(i)).features;
-    const size_t copy =
-        std::min(f.size(), static_cast<size_t>(config.input_dim));
-    std::copy(f.begin(), f.begin() + static_cast<long>(copy),
-              p.features.RowPtr(i));
-    const bool sentence_space =
-        static_cast<int>(f.size()) == config.hetero_input_dim &&
-        config.hetero_input_dim != config.input_dim;
-    if (sentence_space) {
-      p.node_space[i] = 1;
-      if (magnn) {
-        const size_t hcopy =
-            std::min(f.size(), static_cast<size_t>(config.hetero_input_dim));
-        std::copy(f.begin(), f.begin() + static_cast<long>(hcopy),
-                  p.features_hetero.RowPtr(i));
-      }
-    }
-  }
+  Matrix raw;
+  FillPreparedInput(g, config, &p, &raw);
   return p;
 }
 
+void FillPreparedInput(const InteractionGraph& g, const GnnConfig& config,
+                       PreparedGraph* p, Matrix* raw) {
+  assert(p != nullptr && raw != nullptr);
+  const size_t n = static_cast<size_t>(g.num_nodes());
+  const bool magnn = config.type == GnnType::kMagnn;
+  // One pass per node: pad/truncate into the word-space row of X;
+  // sentence-space rows additionally land in `features_hetero`, which
+  // only MAGNN allocates (GCN/GIN on heterogeneous graphs fold the
+  // sentence embedding into the word slot by truncation). The contracts
+  // are documented on PreparedGraph.
+  // GCN/GIN size P X before staging X: a scratch allocated here then sits
+  // above the kept input, so freeing it leaves no hole under each
+  // prepared graph.
+  p->input.ResizeForOverwrite(n, static_cast<size_t>(config.input_dim));
+  Matrix& x = magnn ? p->input : *raw;
+  x.ResizeForOverwrite(n, static_cast<size_t>(config.input_dim));
+  if (magnn) {
+    p->features_hetero.ResizeForOverwrite(
+        n, static_cast<size_t>(config.hetero_input_dim));
+  }
+  // Copies f under the pad/truncate rule into row i of m.
+  auto fill_row = [](const std::vector<double>& f, Matrix* m, size_t i) {
+    const size_t copy = std::min(f.size(), m->cols());
+    double* row = m->RowPtr(i);
+    std::copy(f.begin(), f.begin() + static_cast<ptrdiff_t>(copy), row);
+    std::fill(row + copy, row + m->cols(), 0.0);
+  };
+  p->node_space.assign(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const auto& f = g.node(static_cast<int>(i)).features;
+    fill_row(f, &x, i);
+    const bool sentence_space =
+        static_cast<int>(f.size()) == config.hetero_input_dim &&
+        config.hetero_input_dim != config.input_dim;
+    if (sentence_space) p->node_space[i] = 1;
+    if (magnn) {
+      if (sentence_space) {
+        fill_row(f, &p->features_hetero, i);
+      } else {
+        double* hrow = p->features_hetero.RowPtr(i);
+        std::fill(hrow, hrow + p->features_hetero.cols(), 0.0);
+      }
+    }
+  }
+  // GCN/GIN: layer 0's propagation, the same SpMM the forward ran on X.
+  if (!magnn) SpMM(p->prop_csr, *raw, &p->input);
+}
+
 GnnModel::GnnModel(const GnnConfig& config) : config_(config) {
+  assert(ValidateGnnConfig(config).ok());
   Rng rng(config.seed);
   const size_t in = static_cast<size_t>(config.input_dim);
   const size_t hin = static_cast<size_t>(config.hetero_input_dim);
@@ -180,7 +224,7 @@ void GnnModel::InputProjectionInto(const PreparedGraph& g, Matrix* pre,
     const bool sent = g.node_space[i] == 1;
     const Matrix& w = sent ? proj.params[2] : proj.params[0];
     const Matrix& b = sent ? proj.params[3] : proj.params[1];
-    const Matrix& x = sent ? g.features_hetero : g.features;
+    const Matrix& x = sent ? g.features_hetero : g.input;
     for (size_t c = 0; c < h; ++c) {
       double s = b.At(0, c);
       for (size_t k = 0; k < w.rows(); ++k) s += x.At(i, k) * w.At(k, c);
@@ -188,18 +232,6 @@ void GnnModel::InputProjectionInto(const PreparedGraph& g, Matrix* pre,
     }
   }
   ReluInto(*pre, post);
-}
-
-const Matrix& GnnModel::LayerInput(const ForwardCache& cache,
-                                   size_t l) const {
-  const size_t first_mp = config_.type == GnnType::kMagnn ? 1 : 0;
-  const size_t idx = l - first_mp;
-  // For GCN/GIN the first layer consumes the raw features, read straight
-  // from the prepared graph (post[0] is an empty placeholder).
-  if (idx == 0 && config_.type != GnnType::kMagnn) {
-    return cache.graph->features;
-  }
-  return cache.post[idx];
 }
 
 const std::vector<double>& GnnModel::ForwardImpl(const PreparedGraph& g,
@@ -210,31 +242,36 @@ const std::vector<double>& GnnModel::ForwardImpl(const PreparedGraph& g,
   cache.graph = &g;
 
   const size_t readout_index = layers_.size() - 1;
-  const size_t first_mp = config_.type == GnnType::kMagnn ? 1 : 0;
+  const bool magnn = config_.type == GnnType::kMagnn;
+  const size_t first_mp = magnn ? 1 : 0;
   // pre[l] is layer l's pre-activation (MAGNN's projection occupies
-  // pre[0]); post[k] is the input of mp layer first_mp + k, with the
-  // final entry the pooled-over activation. Resizing the vectors is a
-  // one-time cost per cache; the matrices inside resize in place.
+  // pre[0]); prop[k] is the propagated input of mp layer first_mp + k.
+  // Resizing the vectors is a one-time cost per cache; the matrices
+  // inside resize in place.
   if (cache.pre.size() != readout_index) cache.pre.resize(readout_index);
-  const size_t posts = readout_index - first_mp + 1;
-  if (cache.post.size() != posts) cache.post.resize(posts);
+  const size_t mp_layers = readout_index - first_mp;
+  if (cache.prop.size() != mp_layers) cache.prop.resize(mp_layers);
 
-  const Matrix* h;
-  if (config_.type == GnnType::kMagnn) {
-    InputProjectionInto(g, &cache.pre[0], &cache.post[0]);
-    h = &cache.post[0];
-  } else {
-    h = &g.features;
+  // h is the current activation; ws->h holds every one past the input.
+  const Matrix* h = nullptr;
+  if (magnn) {
+    InputProjectionInto(g, &cache.pre[0], &ws->h);
+    h = &ws->h;
   }
 
   for (size_t l = first_mp; l < readout_index; ++l) {
-    SpMM(g.prop_csr, *h, &ws->m);
+    // GCN/GIN layer 0 reads P X straight from the prepared graph.
+    const Matrix* m = &g.input;
+    if (l > 0) {
+      Matrix& prop = cache.prop[l - first_mp];
+      SpMM(g.prop_csr, *h, &prop);
+      m = &prop;
+    }
     Matrix& z = cache.pre[l];
-    MatMulInto(ws->m, layers_[l].params[0], &z);
+    MatMulInto(*m, layers_[l].params[0], &z);
     AddBiasRow(&z, layers_[l].params[1]);
-    Matrix& act = cache.post[l - first_mp + 1];
-    ReluInto(z, &act);
-    h = &act;
+    ReluInto(z, &ws->h);
+    h = &ws->h;
   }
 
   // [mean | max] readout.
@@ -274,7 +311,7 @@ void AssembleGraphBatch(const std::vector<const PreparedGraph*>& graphs,
   blocks.reserve(graphs.size());
   for (const PreparedGraph* g : graphs) {
     assert(g != nullptr && g->num_nodes > 0);
-    assert(g->features.cols() == static_cast<size_t>(config.input_dim));
+    assert(g->input.cols() == static_cast<size_t>(config.input_dim));
     total += static_cast<size_t>(g->num_nodes);
     blocks.push_back(&g->prop_csr);
   }
@@ -282,8 +319,7 @@ void AssembleGraphBatch(const std::vector<const PreparedGraph*>& graphs,
   s.prop_csr = CsrMatrix::BlockDiagonal(blocks);
   s.num_nodes = static_cast<int>(total);
   s.label = 0;
-  s.features.ResizeForOverwrite(total,
-                                static_cast<size_t>(config.input_dim));
+  s.input.ResizeForOverwrite(total, static_cast<size_t>(config.input_dim));
   if (magnn) {
     s.features_hetero.ResizeForOverwrite(
         total, static_cast<size_t>(config.hetero_input_dim));
@@ -295,8 +331,8 @@ void AssembleGraphBatch(const std::vector<const PreparedGraph*>& graphs,
   for (size_t b = 0; b < graphs.size(); ++b) {
     const PreparedGraph& g = *graphs[b];
     const size_t n = static_cast<size_t>(g.num_nodes);
-    std::copy(g.features.data(), g.features.data() + g.features.size(),
-              s.features.RowPtr(row));
+    std::copy(g.input.data(), g.input.data() + g.input.size(),
+              s.input.RowPtr(row));
     if (magnn) {
       // MAGNN prepared graphs always carry the hetero matrix (possibly
       // all-zero rows for word-space nodes); the stacked copy mirrors it.
@@ -321,24 +357,28 @@ void GnnModel::ForwardBatch(const GraphBatch& batch, BatchForwardWorkspace* ws,
   assert(g.num_nodes > 0);
 
   const size_t readout_index = layers_.size() - 1;
-  const size_t first_mp = config_.type == GnnType::kMagnn ? 1 : 0;
+  const bool magnn = config_.type == GnnType::kMagnn;
+  const size_t first_mp = magnn ? 1 : 0;
 
-  const Matrix* h;
-  if (config_.type == GnnType::kMagnn) {
+  const Matrix* h = nullptr;
+  if (magnn) {
     InputProjectionInto(g, &ws->pre, &ws->h);
     h = &ws->h;
-  } else {
-    h = &g.features;
   }
 
   for (size_t l = first_mp; l < readout_index; ++l) {
     // One SpMM over the block-diagonal CSR propagates every graph in the
     // batch: each stacked row accumulates exactly its block's ascending-
-    // column entries, so per-row bits match the per-graph SpMM. The dense
+    // column entries, so per-row bits match the per-graph SpMM (and a
+    // GCN/GIN layer 0 reads the stacked P X rows instead). The dense
     // transform dispatches per block on the block's own shape so no graph
     // changes kernels by being batched.
-    SpMM(g.prop_csr, *h, &ws->m);
-    MatMulBlocksInto(ws->m, layers_[l].params[0], batch.row_offsets, &ws->z);
+    const Matrix* m = &g.input;
+    if (l > 0) {
+      SpMM(g.prop_csr, *h, &ws->m);
+      m = &ws->m;
+    }
+    MatMulBlocksInto(*m, layers_[l].params[0], batch.row_offsets, &ws->z);
     AddBiasRow(&ws->z, layers_[l].params[1]);
     ReluInto(ws->z, &ws->h);
     h = &ws->h;
@@ -390,12 +430,13 @@ void GnnModel::Backward(const ForwardCache& cache,
   }
 
   const size_t first_mp = config_.type == GnnType::kMagnn ? 1 : 0;
-  // Message-passing layers, top-down.
+  // Message-passing layers, top-down. Each weight gradient reads the
+  // layer's propagated input P H as the forward recorded it (GCN/GIN
+  // layer 0: the prepared P X).
   for (size_t l = readout_index; l-- > first_mp;) {
     ReluBackwardInto(ws->dh, cache.pre[l], &ws->dz);
-    const Matrix& h_in = LayerInput(cache, l);
-    SpMM(g.prop_csr, h_in, &ws->m);
-    MatMulTransAInto(ws->m, ws->dz, &ws->gw);
+    const Matrix& m = l == 0 ? g.input : cache.prop[l - first_mp];
+    MatMulTransAInto(m, ws->dz, &ws->gw);
     layers_[l].grads[0] += ws->gw;
     ColumnSumInto(ws->dz, &ws->gb);
     layers_[l].grads[1] += ws->gb;
@@ -415,7 +456,7 @@ void GnnModel::Backward(const ForwardCache& cache,
       const bool sent = g.node_space[i] == 1;
       Matrix& gw = sent ? proj.grads[2] : proj.grads[0];
       Matrix& gb = sent ? proj.grads[3] : proj.grads[1];
-      const Matrix& x = sent ? g.features_hetero : g.features;
+      const Matrix& x = sent ? g.features_hetero : g.input;
       for (size_t c = 0; c < dz.cols(); ++c) {
         const double d = dz.At(i, c);
         if (d == 0.0) continue;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "graph/interaction_graph.h"
 #include "tensor/matrix.h"
 #include "tensor/sparse.h"
@@ -35,24 +36,37 @@ struct GnnConfig {
   uint64_t seed = 47;
 };
 
+/// \brief Checks \p config before a GnnModel is built from it: a known
+/// type and every dimension (input_dim, hetero_input_dim, hidden_dim,
+/// num_layers, embedding_dim) at least 1. Fails with InvalidArgument
+/// otherwise. GnnModel's constructor assumes a valid config.
+Status ValidateGnnConfig(const GnnConfig& config);
+
 /// \brief A graph pre-processed for GNN consumption: the propagation
-/// matrix in CSR form + stacked features. Build once per dataset, reuse
-/// every epoch.
+/// matrix in CSR form + the first layer's input. Build once per dataset,
+/// reuse every epoch.
 ///
 /// Interaction graphs average a handful of edges per node, so every
 /// propagation product is an O(nnz d) SpMM and no O(n^2) dense matrix is
 /// held (docs/KERNELS.md §5). The dense construction survives only as
 /// the test oracle in tests/dense_oracle.h.
 ///
-/// Feature padding contract: each node's feature vector is copied into
-/// its `features` row in one pass — truncated to input_dim when longer
-/// (sentence-space nodes folded into the word slot for homogeneous
-/// models), zero-padded on the right when shorter. For MAGNN configs only,
-/// sentence-space rows are additionally copied (same pad/truncate rule at
-/// hetero_input_dim) into `features_hetero`; for GCN/GIN that matrix
-/// stays empty — InputProjection is the only consumer.
+/// Feature padding contract: each node's feature vector becomes one row
+/// of the raw feature matrix X (n x input_dim) — truncated to input_dim
+/// when longer (sentence-space nodes folded into the word slot for
+/// homogeneous models), zero-padded on the right when shorter. For MAGNN
+/// configs only, sentence-space rows are additionally copied (same
+/// pad/truncate rule at hetero_input_dim) into `features_hetero`; for
+/// GCN/GIN that matrix stays empty — InputProjection is the only consumer.
+///
+/// Input contract: `input` is what the first layer consumes. For GCN/GIN
+/// it is the propagated features P X, computed once here by the same SpMM
+/// the forward would run (their first layer reads nothing else, and
+/// nothing learned enters P X). For MAGNN it is X itself, because the
+/// per-space input projection runs before any propagation. X is not kept
+/// beside P X.
 struct PreparedGraph {
-  Matrix features;    ///< n x input_dim (homogeneous part)
+  Matrix input;        ///< n x input_dim: P X (GCN/GIN) or X (MAGNN)
   CsrMatrix prop_csr;  ///< n x n propagation matrix
   /// Per-node space id (0 = word space, 1 = sentence space).
   std::vector<int> node_space;
@@ -62,8 +76,17 @@ struct PreparedGraph {
 };
 
 /// \brief Prepares a graph for \p config (builds the propagation matrix
-/// appropriate to the architecture and splits features by space).
+/// appropriate to the architecture, then the input via FillPreparedInput).
 PreparedGraph PrepareGraph(const InteractionGraph& g, const GnnConfig& config);
+
+/// \brief (Re)builds \p p's node_space, features_hetero and input from
+/// \p g's node features under the padding and input contracts above.
+/// For GCN/GIN, p->prop_csr must already describe \p g's edges; X is
+/// staged in \p raw (a reusable scratch, untouched for MAGNN). The one
+/// home of the pad/truncate rule: PrepareGraph and the serving engine's
+/// snapshot refill both call it.
+void FillPreparedInput(const InteractionGraph& g, const GnnConfig& config,
+                       PreparedGraph* p, Matrix* raw);
 
 /// \brief Activation/pre-activation caches recorded by a forward pass,
 /// consumed by Backward(). Matrices are resized in place on reuse, so a
@@ -72,11 +95,11 @@ PreparedGraph PrepareGraph(const InteractionGraph& g, const GnnConfig& config);
 struct ForwardCache {
   const PreparedGraph* graph = nullptr;
   std::vector<Matrix> pre;    ///< pre-activation per layer
-  /// post[k] is the input activation of message-passing layer
-  /// first_mp + k; the final entry is the pooled-over activation. For
-  /// GCN/GIN, post[0] is left empty — the layer input is the prepared
-  /// graph's feature matrix, read in place rather than copied per call.
-  std::vector<Matrix> post;
+  /// prop[k] is P H, the propagated input of message-passing layer
+  /// first_mp + k, which Backward reads for that layer's weight gradient.
+  /// For GCN/GIN, prop[0] is left empty — P X is the prepared graph's
+  /// input, read in place rather than copied per call.
+  std::vector<Matrix> prop;
   Matrix pooled;              ///< 1 x 2*hidden [mean | max] readout
   std::vector<size_t> argmax; ///< row index of the max per hidden dim
   std::vector<double> embedding;
@@ -89,9 +112,11 @@ struct ForwardCache {
 /// and is then reused; after this warmup, Forward/Backward perform zero
 /// heap allocations per graph. Includes a scratch ForwardCache for
 /// callers that don't need to keep activations (embedding extraction).
+/// The forward's propagation products land in the cache, where Backward
+/// reads them; the workspace keeps only the current activation.
 struct GnnWorkspace {
   ForwardCache cache;  ///< used when the caller passes no cache of its own
-  Matrix m;            ///< propagation product P * H
+  Matrix h;            ///< current layer activation H (forward)
   Matrix emb;          ///< 1 x embedding_dim readout scratch
   // Backward scratch.
   Matrix demb, dpooled, dh, dz, tmp, gw, gb;
@@ -100,8 +125,10 @@ struct GnnWorkspace {
 /// \brief A batch of prepared graphs stacked for one block-diagonal
 /// forward pass: `stacked` is itself a valid PreparedGraph whose
 /// propagation CSR is the block-diagonal of the member graphs and whose
-/// feature matrices are their row-wise concatenation, so the existing
-/// per-node input projection and SpMM propagation run on it unchanged.
+/// input and hetero feature matrices are their row-wise concatenation, so
+/// the existing per-node input projection and SpMM propagation run on it
+/// unchanged (a GCN/GIN member's P X rows are exactly the block-diagonal
+/// product's rows for that block).
 /// `row_offsets` (B+1 entries) maps graph b to stacked rows
 /// [row_offsets[b], row_offsets[b+1]).
 struct GraphBatch {
@@ -124,7 +151,7 @@ void AssembleGraphBatch(const std::vector<const PreparedGraph*>& graphs,
 /// allocating).
 struct BatchForwardWorkspace {
   Matrix h;       ///< activation (total_nodes x hidden)
-  Matrix m;       ///< propagation product P * H
+  Matrix m;       ///< propagation product P * H (layers past the input)
   Matrix z;       ///< pre-activation
   Matrix pre;     ///< MAGNN input-projection pre-activation
   Matrix pooled;  ///< 1 x 2*hidden per-graph readout scratch
@@ -220,8 +247,6 @@ class GnnModel {
                                          GnnWorkspace* ws) const;
   void InputProjectionInto(const PreparedGraph& g, Matrix* pre,
                            Matrix* post) const;
-  /// Input activation of message-passing layer \p l recorded by \p cache.
-  const Matrix& LayerInput(const ForwardCache& cache, size_t l) const;
 
   GnnConfig config_;
   std::vector<Layer> layers_;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 
 #include "common/crc32.h"
@@ -110,6 +111,25 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
+/// 8-byte values a model under \p c encodes: every parameter plus each
+/// layer record's u64 length. Computed in 128 bits — dimensions up to
+/// INT_MAX cannot overflow it (the largest term is below 2^94).
+unsigned __int128 EncodedValues(const GnnConfig& c) {
+  using U = unsigned __int128;
+  const U in = static_cast<U>(c.input_dim);
+  const U hin = static_cast<U>(c.hetero_input_dim);
+  const U h = static_cast<U>(c.hidden_dim);
+  const U e = static_cast<U>(c.embedding_dim);
+  const U mp = static_cast<U>(c.num_layers);
+  const U readout = 2 * h * e + e;
+  if (c.type == GnnType::kMagnn) {
+    // Dual input projection, num_layers h x h layers, readout.
+    return (in * h + h + hin * h + h) + mp * (h * h + h) + readout + mp + 2;
+  }
+  // in x h first layer, num_layers - 1 h x h layers, readout.
+  return (in * h + h) + (mp - 1) * (h * h + h) + readout + mp + 1;
+}
+
 }  // namespace
 
 std::vector<uint8_t> SerializeGnnModel(const GnnModel& model) {
@@ -165,9 +185,18 @@ Result<GnnModel> DeserializeGnnModel(const uint8_t* data, size_t size) {
       return Status::IOError("truncated GNN model encoding");
     }
   }
+  // Check the header against itself and the body before the model is
+  // built from it: the CRC is no defence, anyone can recompute it, and a
+  // forged dimension would otherwise allocate without bound.
   GnnConfig c;
   if (header[0] > static_cast<uint64_t>(GnnType::kMagnn)) {
     return Status::InvalidArgument("unknown model type in GNN model encoding");
+  }
+  for (size_t i = 1; i <= 5; ++i) {
+    if (header[i] > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+      return Status::InvalidArgument(
+          "dimension out of range in GNN model encoding");
+    }
   }
   c.type = static_cast<GnnType>(header[0]);
   c.input_dim = static_cast<int>(header[1]);
@@ -176,10 +205,17 @@ Result<GnnModel> DeserializeGnnModel(const uint8_t* data, size_t size) {
   c.num_layers = static_cast<int>(header[4]);
   c.embedding_dim = static_cast<int>(header[5]);
   c.seed = header[6];
-  GnnModel model(c);
-  if (static_cast<int>(header[7]) != model.num_layers()) {
+  FEXIOT_RETURN_NOT_OK(ValidateGnnConfig(c));
+  const bool magnn = c.type == GnnType::kMagnn;
+  const uint64_t layers = static_cast<uint64_t>(c.num_layers) + (magnn ? 2 : 1);
+  if (header[7] != layers) {
     return Status::InvalidArgument("layer count mismatch in GNN model encoding");
   }
+  if (EncodedValues(c) > (body_end - off) / sizeof(double)) {
+    return Status::InvalidArgument(
+        "GNN model header implies more parameters than the body holds");
+  }
+  GnnModel model(c);
   for (int l = 0; l < model.num_layers(); ++l) {
     std::vector<double> flat;
     if (!wire::ReadLayerRecord(data, body_end, &off, &flat)) {

@@ -50,7 +50,10 @@ double DtwImpl(size_t n, size_t m, const CostFn& cost) {
 double DtwDistance(const std::vector<std::vector<double>>& a,
                    const std::vector<std::vector<double>>& b) {
   return DtwImpl(a.size(), b.size(), [&](size_t i, size_t j) {
-    return 1.0 - CosineSimilarity(a[i], b[j]);
+    // Clamped at 0: for identical embeddings the cosine can round a hair
+    // above 1 (e.g. -1.48e-16 under -fsanitize builds), and a cost is a
+    // distance.
+    return std::max(0.0, 1.0 - CosineSimilarity(a[i], b[j]));
   });
 }
 

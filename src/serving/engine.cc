@@ -175,26 +175,6 @@ void StreamingDetectionEngine::SyncEdgesFor(HomeState* hs, int r) {
   }
 }
 
-void StreamingDetectionEngine::CopyFeatureRow(HomeState* hs, int r) {
-  // PrepareGraph's pad/truncate contract, applied to one row in place.
-  const std::vector<double>& f =
-      hs->graph.node(r).features;
-  const size_t ri = static_cast<size_t>(r);
-  Matrix& feat = hs->prepared.features;
-  const size_t copy = std::min(f.size(), feat.cols());
-  double* row = feat.RowPtr(ri);
-  std::copy(f.begin(), f.begin() + static_cast<ptrdiff_t>(copy), row);
-  std::fill(row + copy, row + feat.cols(), 0.0);
-  if (hs->prepared.features_hetero.rows() > 0 &&
-      hs->prepared.node_space[ri] == 1) {
-    Matrix& het = hs->prepared.features_hetero;
-    const size_t hcopy = std::min(f.size(), het.cols());
-    double* hrow = het.RowPtr(ri);
-    std::copy(f.begin(), f.begin() + static_cast<ptrdiff_t>(hcopy), hrow);
-    std::fill(hrow + hcopy, hrow + het.cols(), 0.0);
-  }
-}
-
 void StreamingDetectionEngine::RefreshNodeFeatures(HomeState* hs, int r,
                                                    double fire_time) {
   GraphNode& node = hs->graph.mutable_node(r);
@@ -218,7 +198,7 @@ void StreamingDetectionEngine::RefreshNodeFeatures(HomeState* hs, int r,
       kConsistencyScale * (eff_c - 1.0);
   node.features = std::move(f);
   node.event_time = fire_time;
-  CopyFeatureRow(hs, r);
+  hs->input_dirty = true;
 }
 
 void StreamingDetectionEngine::CompleteFiring(HomeState* hs, int r,
@@ -340,11 +320,18 @@ Status StreamingDetectionEngine::Ingest(int home_id, const LogEntry& entry) {
 void StreamingDetectionEngine::PrepareForSnapshot(HomeState* hs) {
   if (hs->relational_dirty) {
     // Deterministic (noise-free) relational augmentation over the live
-    // edge set, then refresh every prepared feature row: a structural
-    // change can flip relational dims anywhere in the neighborhood.
+    // edge set: a structural change can flip relational dims anywhere in
+    // the neighborhood, and (GCN/GIN) changes P X outright.
     AugmentRelationalFeatures(&hs->graph);
-    for (int r = 0; r < hs->graph.num_nodes(); ++r) CopyFeatureRow(hs, r);
     hs->relational_dirty = false;
+    hs->input_dirty = true;
+  }
+  if (hs->input_dirty) {
+    // The prepared input depends on every node's features and, for
+    // GCN/GIN, on the edges (it is P X): refill it whole through
+    // PrepareGraph's own helper — one SpMM per dirty snapshot.
+    FillPreparedInput(hs->graph, model_->config(), &hs->prepared, &raw_);
+    hs->input_dirty = false;
   }
   if (config_.verify_incremental) {
     ++stats_.parity_checks;
@@ -361,10 +348,10 @@ void StreamingDetectionEngine::PrepareForSnapshot(HomeState* hs) {
                          inc.values().size() * sizeof(double)) == 0;
     }
     if (same) {
-      same = hs->prepared.features.rows() == oracle.features.rows() &&
-             hs->prepared.features.cols() == oracle.features.cols() &&
-             std::memcmp(hs->prepared.features.data(), oracle.features.data(),
-                         oracle.features.size() * sizeof(double)) == 0;
+      same = hs->prepared.input.rows() == oracle.input.rows() &&
+             hs->prepared.input.cols() == oracle.input.cols() &&
+             std::memcmp(hs->prepared.input.data(), oracle.input.data(),
+                         oracle.input.size() * sizeof(double)) == 0;
     }
     if (!same) ++stats_.parity_failures;
   }

@@ -171,6 +171,8 @@ class StreamingDetectionEngine {
     std::deque<CommandRecord> command_log;
     double clock = 0.0;            ///< latest timestamp seen
     bool relational_dirty = true;  ///< edges changed since last augment
+    /// Node features or edges changed since prepared.input was filled.
+    bool input_dirty = false;
     uint64_t churn_since_rebuild = 0;
     bool pending_request = false;  ///< snapshot currently in the batch
   };
@@ -185,14 +187,13 @@ class StreamingDetectionEngine {
   void CompleteFiring(HomeState* hs, int r, const TriggerCandidate& cand);
   /// Adds/removes rule \p r's edges after an activation flip.
   void SyncEdgesFor(HomeState* hs, int r);
-  /// Refreshes node \p r's feature vector (and its prepared row).
+  /// Refreshes node \p r's feature vector; the prepared input follows at
+  /// the next snapshot.
   void RefreshNodeFeatures(HomeState* hs, int r, double fire_time);
-  /// Copies graph node \p r's features into the prepared feature row
-  /// under the PrepareGraph pad/truncate contract.
-  void CopyFeatureRow(HomeState* hs, int r);
-  /// Re-runs relational augmentation + feature rows if edges changed, and
-  /// performs the churn-triggered rebuild / parity verification. Called
-  /// right before a snapshot is taken.
+  /// Re-runs relational augmentation if edges changed, refills the
+  /// prepared input if features or edges changed, and performs the
+  /// churn-triggered rebuild / parity verification. Called right before a
+  /// snapshot is taken.
   void PrepareForSnapshot(HomeState* hs);
 
   void Dispatch(double dispatch_time, std::vector<DetectionResult>* completed);
@@ -212,6 +213,7 @@ class StreamingDetectionEngine {
   GraphBatch batch_;                  ///< reused batch assembly
   BatchForwardWorkspace batch_ws_;
   GnnWorkspace ws_;  ///< classic path scratch (max_batch == 1)
+  Matrix raw_;       ///< FillPreparedInput's X staging (GCN/GIN)
   std::vector<std::vector<double>> batch_embeddings_;
 
   ServingStats stats_;

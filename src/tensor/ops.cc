@@ -388,10 +388,14 @@ double Dot(const std::vector<double>& a, const std::vector<double>& b) {
 
 double CosineSimilarity(const std::vector<double>& a,
                         const std::vector<double>& b) {
-  const double na = VectorNorm(a);
-  const double nb = VectorNorm(b);
-  if (na < 1e-12 || nb < 1e-12) return 0.0;
-  return Dot(a, b) / (na * nb);
+  return CosineSimilarity(a, b, VectorNorm(a), VectorNorm(b));
+}
+
+double CosineSimilarity(const std::vector<double>& a,
+                        const std::vector<double>& b, double norm_a,
+                        double norm_b) {
+  if (norm_a < 1e-12 || norm_b < 1e-12) return 0.0;
+  return Dot(a, b) / (norm_a * norm_b);
 }
 
 double VectorNorm(const std::vector<double>& v) {

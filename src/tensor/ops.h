@@ -122,6 +122,11 @@ double Dot(const std::vector<double>& a, const std::vector<double>& b);
 /// \brief Cosine similarity (0 when either vector is ~0).
 double CosineSimilarity(const std::vector<double>& a,
                         const std::vector<double>& b);
+/// \brief Cosine similarity given the two norms (`VectorNorm(a)`,
+/// `VectorNorm(b)`), for callers that reuse each norm across many pairs.
+double CosineSimilarity(const std::vector<double>& a,
+                        const std::vector<double>& b, double norm_a,
+                        double norm_b);
 /// \brief L2 norm of a vector.
 double VectorNorm(const std::vector<double>& v);
 

@@ -201,6 +201,22 @@ TEST(SetupClients, RejectsFederationWithoutGraphs) {
   ExpectSetupRejected(f.corpus.data, part, f.corpus.cluster_tests);
 }
 
+// A bad GnnConfig is an InvalidArgument, not an exception from inside the
+// model constructor.
+TEST(SetupClients, RejectsInvalidGnnConfig) {
+  const Fixture& f = Fixture::Get();
+  for (int hidden : {0, -1}) {
+    GnnConfig gc = f.gc;
+    gc.hidden_dim = hidden;
+    FederatedSimulator sim(gc, f.fc);
+    const Status s = sim.SetupClients(f.corpus.data, f.corpus.partition,
+                                      f.corpus.cluster_tests);
+    ASSERT_FALSE(s.ok()) << "hidden_dim " << hidden;
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(sim.num_clients(), 0u);
+  }
+}
+
 class FlAlgorithmRun : public ::testing::TestWithParam<FlAlgorithm> {};
 
 TEST_P(FlAlgorithmRun, ProducesSaneResult) {

@@ -305,6 +305,7 @@ TEST(PrepareGraph, GcnPropagationRowsNormalized) {
 }  // namespace
 }  // namespace fexiot
 
+#include "common/crc32.h"
 #include "gnn/serialization.h"
 
 namespace fexiot {
@@ -393,6 +394,94 @@ TEST(Serialization, RejectsCorruptedPayload) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r.status().message().find("corrupt"), std::string::npos)
       << r.status().ToString();
+}
+
+// FEXGNN02 header mutants. The CRC protects against accidents, not
+// forgery: each mutant below re-seals it, so only the header checks stand
+// between the bytes and GnnModel's allocations.
+constexpr size_t kHeaderOffset = 8;  // after the magic
+
+std::vector<uint8_t> WithResealedHeaderField(std::vector<uint8_t> bytes,
+                                             size_t field, uint64_t value) {
+  std::memcpy(bytes.data() + kHeaderOffset + 8 * field, &value, sizeof(value));
+  const uint32_t crc =
+      Crc32(bytes.data() + kHeaderOffset, bytes.size() - kHeaderOffset - 4);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof(crc));
+  return bytes;
+}
+
+// Every dimension is read from header fields 1..5; 0, -1 as int,
+// INT_MAX and UINT32_MAX must each be rejected before anything is
+// allocated from them.
+void ExpectResealedMutantsRejected(size_t field) {
+  // MAGNN, so every dimension (hetero_input_dim included) sizes a layer.
+  const std::vector<uint8_t> bytes =
+      SerializeGnnModel(GnnModel(SmallConfig(GnnType::kMagnn)));
+  for (uint64_t value :
+       {uint64_t{0}, static_cast<uint64_t>(-1), uint64_t{0x7FFFFFFF},
+        uint64_t{0xFFFFFFFF}}) {
+    const std::vector<uint8_t> mutant =
+        WithResealedHeaderField(bytes, field, value);
+    const Result<GnnModel> r = DeserializeGnnModel(mutant.data(), mutant.size());
+    ASSERT_FALSE(r.ok()) << "field " << field << " = " << value;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << "field " << field << " = " << value << ": " << r.status().ToString();
+  }
+}
+
+TEST(Serialization, RejectsResealedInputDimMutants) {
+  ExpectResealedMutantsRejected(1);
+}
+
+TEST(Serialization, RejectsResealedHiddenDimMutants) {
+  ExpectResealedMutantsRejected(3);
+}
+
+TEST(Serialization, RejectsResealedHeaderMutants) {
+  for (size_t field : {size_t{2}, size_t{4}, size_t{5}}) {
+    ExpectResealedMutantsRejected(field);
+  }
+  const GnnConfig c = SmallConfig(GnnType::kGcn);
+  const std::vector<uint8_t> bytes = SerializeGnnModel(GnnModel(c));
+  // num_layers = 1e8 disagrees with the stored layer count; with the count
+  // forged to match, the implied parameters overrun the body instead.
+  // Neither may build a model first.
+  const std::vector<uint8_t> deep = WithResealedHeaderField(bytes, 4, 100000000);
+  const std::vector<uint8_t> deep_counted =
+      WithResealedHeaderField(deep, 7, 100000001);
+  // Unknown type; layer count off by one.
+  const std::vector<uint8_t> bad_type = WithResealedHeaderField(bytes, 0, 3);
+  const std::vector<uint8_t> bad_count = WithResealedHeaderField(
+      bytes, 7, static_cast<uint64_t>(c.num_layers) + 2);
+  for (const std::vector<uint8_t>* mutant :
+       {&deep, &deep_counted, &bad_type, &bad_count}) {
+    const Result<GnnModel> r =
+        DeserializeGnnModel(mutant->data(), mutant->size());
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status().ToString();
+  }
+  // The unmutated bytes still load.
+  EXPECT_TRUE(DeserializeGnnModel(bytes.data(), bytes.size()).ok());
+}
+
+TEST(ValidateGnnConfig, RejectsDimensionsBelowOne) {
+  EXPECT_TRUE(ValidateGnnConfig(GnnConfig()).ok());
+  for (int GnnConfig::*dim :
+       {&GnnConfig::input_dim, &GnnConfig::hetero_input_dim,
+        &GnnConfig::hidden_dim, &GnnConfig::num_layers,
+        &GnnConfig::embedding_dim}) {
+    for (int bad : {0, -1}) {
+      GnnConfig c;
+      c.*dim = bad;
+      const Status s = ValidateGnnConfig(c);
+      ASSERT_FALSE(s.ok());
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    }
+  }
+  GnnConfig c;
+  c.type = static_cast<GnnType>(7);
+  EXPECT_EQ(ValidateGnnConfig(c).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(Serialization, BufferRoundTripMatchesFileFormat) {

@@ -331,7 +331,7 @@ void CheckForwardBatchMatchesForward(GnnType type,
     const std::vector<double>& one = model.Forward(*ptrs[b], nullptr, &ws);
     EXPECT_TRUE(BitsEqual(embs[b], one))
         << GnnTypeName(type) << " graph " << b << " ("
-        << ptrs[b]->features.rows() << " nodes)";
+        << ptrs[b]->input.rows() << " nodes)";
   }
 
   // A size-1 batch must also match, and reusing the workspace across
@@ -609,7 +609,7 @@ TEST(ServingEngine, FinalPreparedMatchesRebuildBitwise) {
     ASSERT_NE(inc, nullptr);
     const PreparedGraph ref = engine.RebuildPrepared(static_cast<int>(h));
     EXPECT_TRUE(CsrBitsEqual(inc->prop_csr, ref.prop_csr)) << "home " << h;
-    EXPECT_TRUE(MatrixBitsEqual(inc->features, ref.features)) << "home " << h;
+    EXPECT_TRUE(MatrixBitsEqual(inc->input, ref.input)) << "home " << h;
     EXPECT_TRUE(MatrixBitsEqual(inc->features_hetero, ref.features_hetero));
     EXPECT_EQ(inc->node_space, ref.node_space);
   }

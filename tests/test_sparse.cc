@@ -257,11 +257,99 @@ TEST(PrepareGraphModes, ForwardIsBitIdenticalAcrossModes) {
     GnnModel model(c);
     const InteractionGraph g = ChainGraph(11, 13);
     const PreparedGraph ps = PrepareGraph(g, c);
-    const std::vector<double> zd = testing::DenseForwardOracle(model, g, ps);
+    const std::vector<double> zd = testing::DenseForwardOracle(model, g);
     const std::vector<double> zs = model.Forward(ps, nullptr);
     ASSERT_EQ(zd.size(), zs.size());
     for (size_t i = 0; i < zd.size(); ++i) {
       EXPECT_EQ(zd[i], zs[i]) << GnnTypeName(type) << " dim " << i;
+    }
+  }
+}
+
+// Corpus-shaped graphs over all five platforms: a few nodes each, with
+// word-space (kHomoFeatureDim) and sentence-space (kHeteroFeatureDim)
+// rules mixed.
+std::vector<InteractionGraph> CorpusGraphs(int count, uint64_t seed) {
+  CorpusOptions opts;
+  opts.platforms = {Platform::kSmartThings, Platform::kHomeAssistant,
+                    Platform::kIfttt, Platform::kGoogleAssistant,
+                    Platform::kAlexa};
+  opts.max_nodes = 12;
+  Rng rng(seed);
+  GraphCorpusGenerator gen(opts, &rng);
+  return gen.GenerateDataset(count);
+}
+
+// PreparedGraph's input contract: GCN/GIN hold P X, MAGNN holds X, with X
+// rebuilt from the graph under the pad/truncate rule. The wider config
+// zero-pads every word-space row; both truncate sentence-space rows.
+TEST(PrepareGraphInput, HoldsPropagatedFeaturesForGcnGinAndRawForMagnn) {
+  const std::vector<InteractionGraph> graphs = CorpusGraphs(12, 31);
+  size_t truncated = 0, padded = 0;
+  for (int input_dim : {kHomoFeatureDim, kHomoFeatureDim + 5}) {
+    for (GnnType type : {GnnType::kGcn, GnnType::kGin, GnnType::kMagnn}) {
+      GnnConfig c;
+      c.type = type;
+      c.input_dim = input_dim;
+      for (const InteractionGraph& g : graphs) {
+        for (int i = 0; i < g.num_nodes(); ++i) {
+          const int dim = static_cast<int>(g.node(i).features.size());
+          truncated += dim > input_dim;
+          padded += dim < input_dim;
+        }
+        const PreparedGraph p = PrepareGraph(g, c);
+        const testing::DenseFeatures x = testing::DenseFeatureOracle(g, c);
+        if (type == GnnType::kMagnn) {
+          ExpectBitEqual(p.input, x.x, "MAGNN input is X");
+          ExpectBitEqual(p.features_hetero, x.x_hetero, "MAGNN hetero rows");
+        } else {
+          ExpectBitEqual(
+              p.input,
+              ReferenceMatMul(testing::DensePropagationOracle(g, type), x.x),
+              GnnTypeName(type));
+          EXPECT_EQ(p.features_hetero.size(), 0u);
+        }
+        EXPECT_EQ(p.node_space, x.space);
+      }
+    }
+  }
+  EXPECT_GT(truncated, 0u);
+  EXPECT_GT(padded, 0u);
+}
+
+// Backward reads each layer's propagated input from the forward's cache
+// (GCN/GIN layer 0: the prepared P X); the dense oracle recomputes every
+// propagation. Gradients must agree bit for bit.
+TEST(PrepareGraphModes, BackwardIsBitIdenticalToDenseOracle) {
+  const std::vector<InteractionGraph> graphs = CorpusGraphs(8, 47);
+  for (GnnType type : {GnnType::kGcn, GnnType::kGin, GnnType::kMagnn}) {
+    GnnConfig c;
+    c.type = type;
+    c.hidden_dim = 12;
+    c.embedding_dim = 8;
+    std::vector<double> grad(static_cast<size_t>(c.embedding_dim));
+    for (size_t i = 0; i < grad.size(); ++i) {
+      grad[i] = 0.3 * static_cast<double>(i) - 1.0;
+    }
+    for (const InteractionGraph& g : graphs) {
+      GnnModel model(c);
+      const PreparedGraph p = PrepareGraph(g, c);
+      ForwardCache cache;
+      const std::vector<double> z = model.Forward(p, &cache);
+      EXPECT_EQ(z, testing::DenseForwardOracle(model, g)) << GnnTypeName(type);
+      model.Backward(cache, grad);
+      const std::vector<std::vector<double>> want =
+          testing::DenseBackwardOracle(model, g, grad);
+      ASSERT_EQ(want.size(), static_cast<size_t>(model.num_layers()));
+      for (int l = 0; l < model.num_layers(); ++l) {
+        const std::vector<double> got = model.GetLayerGradFlat(l);
+        ASSERT_EQ(got.size(), want[static_cast<size_t>(l)].size());
+        EXPECT_EQ(std::memcmp(got.data(), want[static_cast<size_t>(l)].data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << GnnTypeName(type) << " layer " << l << ", " << g.num_nodes()
+            << " nodes";
+      }
     }
   }
 }
