@@ -6,25 +6,22 @@
 # the committed golden (tests/golden/runtime_trace_seed.txt); and the
 # CSR propagation engine against the dense test oracle
 # (tests/dense_oracle.h). On top of the suite this script runs:
-#  - a GEMM ISA-dispatch sweep: test_kernels under each FEXIOT_ISA tier
-#    (unsupported tiers degrade to the widest available one, so the sweep
-#    is safe on any host);
-#  - the small-product kernel against its oracle without FMA contraction:
+#  - the dense product kernel against its oracle without FMA contraction:
 #    a -DFEXIOT_NATIVE=OFF build (tests only) of test_kernels and
 #    test_sparse, where ops.cc compiles `c += a*b` as a separate multiply
 #    and add. The default -march=native build fuses both the kernel and
 #    ReferenceMatMul into FMAs; the bit-for-bit contract must hold in both;
-#  - the lazy-state scale smokes on the event runtime: 100k clients with
-#    an RSS ceiling, and 1M clients on a 4-thread pool whose peak RSS must
-#    stay below 32 MB (the runtime allocates by the cohort, not the fleet);
+#  - the lazy-state scale smokes on the event runtime: 100k and 1M
+#    clients on a 4-thread pool, each with peak RSS below 32 MB (the
+#    runtime allocates by the cohort, not the fleet);
 #  - a seeded Poisson serving soak against a p99 latency bound;
 #  - the end-to-end benchmark smoke (e2ebench/run.py --smoke): builds
 #    bench_e2e against the src/ libraries (into $CARGO_TARGET_DIR, or
 #    .bench_build by default) and checks that every workload's output
 #    digest is the same at 1 thread, at nproc threads and in a traced run;
 #  - a ThreadSanitizer pass over the concurrency-bearing binaries (thread
-#    pool / parallel facade / blocked GEMM incl. parallel PackB and pack
-#    reuse / SpMM row fan-out / corpus fan-out / federated rounds incl.
+#    pool / parallel facade / concurrent dense products / SpMM row
+#    fan-out / corpus fan-out / federated rounds incl.
 #    the async policies / lazy-state scale driver / batched serving
 #    inference / parallel explanation search with its shared score memo);
 #  - the whole tier-1 suite under AddressSanitizer + UndefinedBehavior-
@@ -44,22 +41,14 @@ PORTABLE_DIR="${3:-build-portable}"
 ASAN_DIR="${4:-build-asan}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-echo "==> [1/9] configure + build (${BUILD_DIR})"
+echo "==> [1/8] configure + build (${BUILD_DIR})"
 cmake -B "${BUILD_DIR}" -S . >/dev/null
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
-echo "==> [2/9] full test suite"
+echo "==> [2/8] full test suite"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
-echo "==> [3/9] GEMM ISA dispatch sweep (FEXIOT_ISA=scalar/avx2/avx512)"
-for isa in scalar avx2 avx512; do
-  echo "    FEXIOT_ISA=${isa}"
-  FEXIOT_ISA="${isa}" "${BUILD_DIR}/tests/test_kernels" \
-    --gtest_brief=1 >/dev/null
-done
-echo "    kernel parity holds under every FEXIOT_ISA tier"
-
-echo "==> [4/9] small-product kernel vs oracle without FMA contraction (${PORTABLE_DIR})"
+echo "==> [3/8] dense product kernel vs oracle without FMA contraction (${PORTABLE_DIR})"
 cmake -B "${PORTABLE_DIR}" -S . \
   -DFEXIOT_NATIVE=OFF \
   -DFEXIOT_BUILD_BENCHMARKS=OFF \
@@ -67,23 +56,23 @@ cmake -B "${PORTABLE_DIR}" -S . \
 cmake --build "${PORTABLE_DIR}" -j "${JOBS}" --target test_kernels test_sparse
 "${PORTABLE_DIR}/tests/test_kernels" --gtest_brief=1 >/dev/null
 "${PORTABLE_DIR}/tests/test_sparse" --gtest_brief=1 >/dev/null
-echo "    small path equals the Reference* oracle bit for bit in both build modes"
+echo "    the kernel equals the Reference* oracle bit for bit in both build modes"
 
-echo "==> [5/9] scale smoke (100k and 1M clients on the runtime, RSS bounds)"
+echo "==> [4/8] scale smoke (100k and 1M clients on the runtime, RSS bounds)"
 FEXIOT_SLOW_TESTS=1 "${BUILD_DIR}/tests/test_scale" \
   --gtest_filter='ScaleSmoke.*' --gtest_brief=1
 echo "    100k- and 1M-client sampled rounds stay within their RSS bounds"
 
-echo "==> [6/9] serving soak (seeded Poisson load, p99 bound)"
+echo "==> [5/8] serving soak (seeded Poisson load, p99 bound)"
 FEXIOT_SERVING_SOAK=1 "${BUILD_DIR}/tests/test_serving" \
   --gtest_filter='ServingSoak.*' --gtest_brief=1
 echo "    soak met the latency bound"
 
-echo "==> [7/9] end-to-end benchmark smoke (digests at 1/nproc threads, traced)"
+echo "==> [6/8] end-to-end benchmark smoke (digests at 1/nproc threads, traced)"
 python3 e2ebench/run.py --smoke
 echo "    every workload digest held across thread counts and tracing"
 
-echo "==> [8/9] TSAN pass (test_common + test_kernels + test_sparse + test_corpus_determinism + test_runtime + test_scale + test_serving + test_explain)"
+echo "==> [7/8] TSAN pass (test_common + test_kernels + test_sparse + test_corpus_determinism + test_runtime + test_scale + test_serving + test_explain)"
 cmake -B "${TSAN_DIR}" -S . \
   -DFEXIOT_SANITIZE=thread \
   -DFEXIOT_BUILD_BENCHMARKS=OFF \
@@ -99,7 +88,7 @@ FEXIOT_THREADS=4 "${TSAN_DIR}/tests/test_scale"
 FEXIOT_THREADS=4 "${TSAN_DIR}/tests/test_serving"
 FEXIOT_THREADS=4 "${TSAN_DIR}/tests/test_explain"
 
-echo "==> [9/9] ASan+UBSan pass (full tier-1 suite, ${ASAN_DIR})"
+echo "==> [8/8] ASan+UBSan pass (full tier-1 suite, ${ASAN_DIR})"
 cmake -B "${ASAN_DIR}" -S . \
   -DFEXIOT_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -109,4 +98,4 @@ cmake --build "${ASAN_DIR}" -j "${JOBS}"
 ctest --test-dir "${ASAN_DIR}" --output-on-failure -j "${JOBS}"
 echo "    no memory error, leak or undefined behaviour in the suite"
 
-echo "OK: tier-1 suite green (determinism pinned in-process), small path exact in both build modes, TSAN and ASan+UBSan clean"
+echo "OK: tier-1 suite green (determinism pinned in-process), dense kernel exact in both build modes, TSAN and ASan+UBSan clean"

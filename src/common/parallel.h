@@ -9,7 +9,7 @@ namespace parallel {
 /// \brief Process-wide data parallelism over a shared lazily-initialized
 /// ThreadPool.
 ///
-/// Library hot loops (GEMM row blocks, k-means assignment, t-SNE gradient
+/// Library hot loops (SpMM output rows, k-means assignment, t-SNE gradient
 /// rows, contrastive pair batches, corpus generation) call parallel::For
 /// instead of owning pools. A nested-parallelism guard keeps the scheme
 /// composable with callers that already parallelize at a coarser grain:

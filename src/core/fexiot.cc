@@ -13,6 +13,7 @@ FexIoT::FexIoT(FexIotConfig config)
       rng_(config_.seed) {}
 
 Status FexIoT::TrainLocal(const GraphDataset& train) {
+  FEXIOT_RETURN_NOT_OK(ValidateTrainConfig(config_.train));
   if (train.empty()) return Status::InvalidArgument("empty training set");
   const std::vector<PreparedGraph> prepared =
       PrepareDataset(train, config_.gnn);

@@ -42,6 +42,8 @@ class FexIoT {
   explicit FexIoT(FexIotConfig config);
 
   /// \brief Trains the GNN + head + drift detector on local graphs.
+  /// Fails with InvalidArgument when the config's TrainConfig fails
+  /// ValidateTrainConfig or \p train is empty.
   Status TrainLocal(const GraphDataset& train);
 
   /// \brief Installs an externally (federally) trained GNN, then fits the

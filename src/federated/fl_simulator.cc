@@ -128,19 +128,23 @@ void FederatedSimulator::AverageLayer(int layer,
     avg.Add(client_weight_[static_cast<size_t>(c)] * AggScale(c) / weight_sum,
             ThroughWire(c, local, &scratch));
   }
-  // The install crosses the downlink: each member receives the average
-  // as encoded with its own codec. The encoding depends on nothing but
-  // the codec and the average, so each codec in the group encodes once.
-  const std::vector<double>& average = avg.weighted_sum();
+  InstallLayer(layer, avg.weighted_sum(), group);
+}
+
+void FederatedSimulator::InstallLayer(int layer,
+                                      const std::vector<double>& weights,
+                                      const std::vector<int>& clients) {
+  // The encoding depends on nothing but the codec and the weights, so
+  // each codec among the clients encodes once.
   std::vector<double> encoded[kNumWireCodecs];
-  for (int c : group) {
+  for (int c : clients) {
     const WireCodec codec = codec_of_[static_cast<size_t>(c)];
     std::vector<double>& install = encoded[static_cast<int>(codec)];
     if (codec != WireCodec::kFp64 && install.empty()) {
-      install = CodecRoundTripped(codec, average);
+      install = CodecRoundTripped(codec, weights);
     }
     clients_[static_cast<size_t>(c)]->SetLayerWeights(
-        layer, codec == WireCodec::kFp64 ? average : install);
+        layer, codec == WireCodec::kFp64 ? weights : install);
   }
 }
 
@@ -203,11 +207,8 @@ void FederatedSimulator::AsyncFedAvgRound(const RoundOutcome& outcome) {
   }
   // The delivered clients sync to the new global (the others keep their
   // local replica until they next deliver, as in FedAsync).
-  for (int c : outcome.delivered) {
-    for (int l = 0; l < num_layers; ++l) {
-      clients_[static_cast<size_t>(c)]->SetLayerWeights(
-          l, ThroughWire(c, async_global_[static_cast<size_t>(l)], &scratch));
-    }
+  for (int l = 0; l < num_layers; ++l) {
+    InstallLayer(l, async_global_[static_cast<size_t>(l)], outcome.delivered);
   }
 }
 
@@ -519,7 +520,7 @@ Result<FlResult> FederatedSimulator::Run(FlAlgorithm algorithm) {
   for (size_t c = 0; c < clients_.size(); ++c) {
     train_seconds[c] = fl_config_.runtime.train_seconds_per_graph *
                        static_cast<double>(clients_[c]->num_train_graphs()) *
-                       static_cast<double>(std::max(1, fl_config_.local.epochs));
+                       static_cast<double>(fl_config_.local.epochs);
   }
 
   for (int round = 0; round < fl_config_.num_rounds; ++round) {

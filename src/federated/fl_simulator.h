@@ -70,6 +70,12 @@ class FederatedSimulator {
   /// scaled by its staleness decay alpha(s) (agg_scale_, 1.0 otherwise).
   void AverageLayer(int layer, const std::vector<int>& group);
 
+  /// Downlink install of one layer: each of \p clients receives
+  /// \p weights as encoded with its own codec (fp64: the weights
+  /// themselves).
+  void InstallLayer(int layer, const std::vector<double>& weights,
+                    const std::vector<int>& clients);
+
   /// Async FedAvg: sequential server-side mixing in the runtime's
   /// deterministic application order. kAsync mixes every update
   /// immediately (global <- (1-alpha(s)) * global + alpha(s) * update);
@@ -77,11 +83,9 @@ class FederatedSimulator {
   /// Installs the resulting global to the delivered clients.
   void AsyncFedAvgRound(const RoundOutcome& outcome);
 
-  /// What the other end observes after \p raw crossed a link of client
-  /// \p c: \p raw itself under the fp64 passthrough (no copy), otherwise
+  /// What the server observes after \p raw crossed client \p c's uplink:
+  /// \p raw itself under the fp64 passthrough (no copy), otherwise
   /// \p *scratch filled with the quantize-dequantize image of \p raw.
-  /// Both directions use c's negotiated codec, so one helper serves
-  /// uplink reads and downlink installs.
   const std::vector<double>& ThroughWire(int c, const std::vector<double>& raw,
                                          std::vector<double>* scratch) const;
 

@@ -34,6 +34,7 @@ Status ValidateFlConfig(const FlConfig& config) {
   if (config.threads < 0) {
     return Status::InvalidArgument("FlConfig: threads must be >= 0");
   }
+  FEXIOT_RETURN_NOT_OK(ValidateTrainConfig(config.local));
   return ValidateRuntimeConfig(config.runtime);
 }
 

@@ -50,8 +50,9 @@ struct FlConfig {
 };
 
 /// \brief Rejects invalid federated configurations (non-positive rounds,
-/// negative epsilons, bad runtime knobs) with a descriptive Status instead
-/// of silently misbehaving.
+/// negative epsilons, a local TrainConfig ValidateTrainConfig rejects, bad
+/// runtime knobs) with a descriptive Status instead of silently
+/// misbehaving.
 Status ValidateFlConfig(const FlConfig& config);
 
 /// \brief Per-round telemetry.

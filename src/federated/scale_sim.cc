@@ -36,6 +36,7 @@ Status ValidateScaleConfig(const ScaleFlConfig& config) {
   FEXIOT_RETURN_NOT_OK(ValidateRuntimeConfig(config.runtime));
   if (config.num_rounds < 1)
     return Status::InvalidArgument("num_rounds must be >= 1");
+  FEXIOT_RETURN_NOT_OK(ValidateTrainConfig(config.train));
   if (config.client.graphs_per_client < 2)
     return Status::InvalidArgument(
         "graphs_per_client must be >= 2 (local test split)");

@@ -371,8 +371,8 @@ void GnnModel::ForwardBatch(const GraphBatch& batch, BatchForwardWorkspace* ws,
     // batch: each stacked row accumulates exactly its block's ascending-
     // column entries, so per-row bits match the per-graph SpMM (and a
     // GCN/GIN layer 0 reads the stacked P X rows instead). The dense
-    // transform dispatches per block on the block's own shape so no graph
-    // changes kernels by being batched.
+    // transform multiplies each block as a standalone product, so each
+    // graph's rows get the bits its own Forward computes.
     const Matrix* m = &g.input;
     if (l > 0) {
       SpMM(g.prop_csr, *h, &ws->m);

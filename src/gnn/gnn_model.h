@@ -48,7 +48,7 @@ Status ValidateGnnConfig(const GnnConfig& config);
 ///
 /// Interaction graphs average a handful of edges per node, so every
 /// propagation product is an O(nnz d) SpMM and no O(n^2) dense matrix is
-/// held (docs/KERNELS.md §5). The dense construction survives only as
+/// held (docs/KERNELS.md §2). The dense construction survives only as
 /// the test oracle in tests/dense_oracle.h.
 ///
 /// Feature padding contract: each node's feature vector becomes one row
@@ -195,8 +195,8 @@ class GnnModel {
   /// one row-blocked dense transform per layer for the whole batch, then
   /// a per-graph [mean | max] readout. Embedding b is bit-identical to
   /// Forward(*graphs[b], ...) — the stacked CSR preserves each output
-  /// row's accumulation order, the dense transform dispatches per block
-  /// on the block's own shape, and pooling/readout share the per-graph
+  /// row's accumulation order, the dense transform multiplies each block
+  /// as a standalone product, and pooling/readout share the per-graph
   /// code paths. Inference only (no caches recorded); \p embeddings is
   /// resized to the batch size.
   void ForwardBatch(const GraphBatch& batch, BatchForwardWorkspace* ws,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "common/parallel.h"
 #include "gnn/contrastive.h"
@@ -15,6 +17,24 @@ constexpr double kWeightDecay = 1e-5;
 constexpr int kBatchPairs = 8;
 
 }  // namespace
+
+Status ValidateTrainConfig(const TrainConfig& config) {
+  if (config.epochs < 1) {
+    return Status::InvalidArgument("train: epochs must be >= 1");
+  }
+  const std::pair<const char*, double> positives[] = {
+      {"learning_rate", config.learning_rate},
+      {"margin", config.margin},
+      {"pairs_per_sample", config.pairs_per_sample},
+  };
+  for (const auto& [name, value] : positives) {
+    if (!std::isfinite(value) || value <= 0.0) {
+      return Status::InvalidArgument(std::string("train: ") + name +
+                                     " must be finite and > 0");
+    }
+  }
+  return Status::OK();
+}
 
 std::vector<PreparedGraph> PrepareGraphs(
     const std::vector<InteractionGraph>& graphs, const GnnConfig& config) {

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "gnn/contrastive.h"
 #include "gnn/gnn_model.h"
 #include "graph/dataset.h"
@@ -25,6 +26,11 @@ struct TrainConfig {
   /// instead of contrastive pairs (used by the ablation bench).
   bool contrastive = true;
 };
+
+/// \brief Checks \p config before training with it: epochs >= 1 and a
+/// finite, positive learning_rate, margin and pairs_per_sample. Fails with
+/// InvalidArgument otherwise. GnnTrainer assumes a valid config.
+Status ValidateTrainConfig(const TrainConfig& config);
 
 /// \brief Contrastive GNN trainer (Section III-B1): samples graph pairs,
 /// forward/backward through the shared GNN, SGD updates. Also provides

@@ -1,77 +1,18 @@
 #pragma once
 
-#include <cstddef>
-
-#include "common/cpu_features.h"
-
 namespace fexiot {
 namespace gemm {
 
-/// \brief Microkernel contract: C(0:rmax, 0:cmax) += Ap * Bp over depth
-/// \p kc, where Ap is an mr-interleaved A micro-panel (element (p, r) at
-/// ap[p * mr + r]), Bp an nr-interleaved B micro-panel (element (p, c) at
-/// bp[p * nr + c]), and C is row-major with leading dimension \p ldc.
-/// Padding lanes (r >= rmax, c >= cmax) in the packed panels are zero and
-/// must not be stored to C. Every implementation accumulates over p in
-/// ascending order, exactly once per element, so results across kernels
-/// differ only by mul+add vs fused-multiply-add rounding (see
-/// docs/KERNELS.md for the cross-ISA ULP bound).
-using MicroKernelFn = void (*)(size_t kc, const double* ap, const double* bp,
-                               double* c, size_t ldc, size_t rmax,
-                               size_t cmax);
-
-/// \brief One ISA-specialized microkernel plus the blocking scheme the
-/// macro-kernel uses with it. Invariants: mc % mr == 0 and nc % nr == 0
-/// (packed row/column panels never straddle a cache block boundary).
+/// \brief Provenance of the dense product kernel (tensor/ops.h).
 struct KernelInfo {
-  cpu::Isa isa;      ///< tier this kernel requires
-  const char* name;  ///< "scalar" | "avx2" | "avx512" (FEXIOT_ISA spelling)
-  const char* tile;  ///< register tile as "MRxNR", e.g. "8x16"
-  size_t mr;         ///< microkernel rows (accumulator height)
-  size_t nr;         ///< microkernel cols (accumulator width)
-  size_t mc;         ///< A block rows; also the parallel row grain
-  size_t kc;         ///< depth block (packed panels stream from L1/L2)
-  size_t nc;         ///< B block cols (pack buffer sized kc * nc)
-  MicroKernelFn fn;
+  /// The vector ISA the kernel was compiled for: "avx512" | "avx2" |
+  /// "scalar".
+  const char* name;
 };
 
-/// \brief The three build-time kernel registrations. Scalar is always
-/// present; Avx2Kernel()/Avx512Kernel() return nullptr when the compiler
-/// lacked the flags (or the target is not x86) and the path was stubbed
-/// out at build time.
-const KernelInfo* ScalarKernel();
-const KernelInfo* Avx2Kernel();
-const KernelInfo* Avx512Kernel();
-
-/// \brief The kernel GemmBlocked dispatches to. Selected once on first
-/// use: the widest tier the CPU supports and the build compiled in,
-/// unless the FEXIOT_ISA environment variable (scalar|avx2|avx512) names
-/// a narrower/specific tier. An FEXIOT_ISA request the host cannot run
-/// (or the build lacks) logs a warning and degrades to the best
-/// available tier. Thread-safe.
+/// \brief The kernel every MatMul* runs. Nothing in the library calls
+/// this; benchmarks print it as provenance.
 const KernelInfo& ActiveKernel();
-
-/// \brief Testing/tooling override: rebinds ActiveKernel() to \p isa.
-/// Returns false (selection unchanged) when the CPU cannot run the tier
-/// or the build did not compile it in. Must not race with concurrent
-/// GemmBlocked calls (same discipline as parallel::SetThreads).
-bool SetActiveIsa(cpu::Isa isa);
-
-/// \brief True when GemmBlocked's A-pack-reuse path engages for an
-/// output with \p m columns under the active kernel: C spans more than
-/// one nc column panel, so packed A blocks are cached per depth block
-/// and reused across panels instead of being repacked for each.
-bool PackReuseEngages(size_t m);
-
-/// \brief C += op(A) * op(B), the cache-blocked packed macro-kernel.
-/// op(A) is n x k (A stored k x n when \p trans_a), op(B) is k x m
-/// (B stored m x k when \p trans_b), C is n x m row-major and must be
-/// zero-initialized by the caller. C must not alias A or B. Row blocks
-/// and pack panels fan out over parallel::For / parallel::ForRange;
-/// results are bit-identical for every thread count.
-void GemmBlocked(size_t n, size_t k, size_t m, const double* a, size_t lda,
-                 bool trans_a, const double* b, size_t ldb, bool trans_b,
-                 double* c);
 
 }  // namespace gemm
 }  // namespace fexiot

@@ -24,7 +24,7 @@ namespace fexiot {
 ///  - Thread-safety: const members are safe to call concurrently. Mutation
 ///    requires external synchronization — the idiomatic pattern under
 ///    parallel::For is disjoint writes (each task owns distinct rows via
-///    RowPtr), which the GEMM macro-kernel, k-means and t-SNE all follow.
+///    RowPtr), which SpMM, k-means and t-SNE all follow.
 ///  - Indexing: At/operator() assert bounds in debug builds and perform no
 ///    checking in release builds.
 class Matrix {

@@ -10,9 +10,9 @@ namespace fexiot {
 
 namespace {
 
-// Accumulation core of ReferenceMatMulTransB and of the small-product
-// path of MatMulTransBInto. \p c must arrive zeroed.
-void ReferenceMatMulTransBAccum(const Matrix& a, const Matrix& b, Matrix* c) {
+// Dot-product core of ReferenceMatMulTransB and MatMulTransBInto: writes
+// every element of the a.rows() x b.rows() output \p c.
+void MatMulTransBRows(const Matrix& a, const Matrix& b, Matrix* c) {
   const size_t n = a.rows(), k = a.cols(), m = b.rows();
   for (size_t i = 0; i < n; ++i) {
     const double* arow = a.RowPtr(i);
@@ -66,17 +66,13 @@ Matrix ReferenceMatMulTransA(const Matrix& a, const Matrix& b) {
 Matrix ReferenceMatMulTransB(const Matrix& a, const Matrix& b) {
   assert(a.cols() == b.cols());
   Matrix c(a.rows(), b.rows());
-  ReferenceMatMulTransBAccum(a, b, &c);
+  MatMulTransBRows(a, b, &c);
   return c;
 }
 
 namespace {
 
-// Products below this flop count skip the blocked GEMM: packing costs more
-// than it saves. Every GNN layer at the paper's widths lives here.
-constexpr size_t kSmallFlops = 64 * 64 * 64;
-
-// The small-product kernel. A(i, p) is a[i * a_rs + p * a_cs], so the
+// The dense product kernel. A(i, p) is a[i * a_rs + p * a_cs], so the
 // same code serves A (a_rs = lda, a_cs = 1) and A^T (a_rs = 1,
 // a_cs = lda); B and C are row-major with strides ldb and ldc.
 //
@@ -194,41 +190,23 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c) {
   assert(a.cols() == b.rows());
   assert(c != &a && c != &b && "MatMulInto output must not alias an input");
   const size_t n = a.rows(), k = a.cols(), m = b.cols();
-  if (n * k * m < kSmallFlops) {
-    c->ResizeForOverwrite(n, m);
-    SmallMatMul(n, k, m, a.data(), k, 1, b.data(), m, c->data(), m);
-  } else {
-    c->Resize(n, m);  // reuses capacity; zeroed accumulators
-    gemm::GemmBlocked(n, k, m, a.data(), a.cols(), false, b.data(), b.cols(),
-                      false, c->data());
-  }
+  c->ResizeForOverwrite(n, m);
+  SmallMatMul(n, k, m, a.data(), k, 1, b.data(), m, c->data(), m);
 }
 
 void MatMulTransAInto(const Matrix& a, const Matrix& b, Matrix* c) {
   assert(a.rows() == b.rows());
   assert(c != &a && c != &b && "MatMulTransAInto output must not alias an input");
   const size_t n = a.cols(), k = a.rows(), m = b.cols();
-  if (n * k * m < kSmallFlops) {
-    c->ResizeForOverwrite(n, m);
-    SmallMatMul(n, k, m, a.data(), 1, n, b.data(), m, c->data(), m);
-  } else {
-    c->Resize(n, m);
-    gemm::GemmBlocked(n, k, m, a.data(), a.cols(), true, b.data(), b.cols(),
-                      false, c->data());
-  }
+  c->ResizeForOverwrite(n, m);
+  SmallMatMul(n, k, m, a.data(), 1, n, b.data(), m, c->data(), m);
 }
 
 void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* c) {
   assert(a.cols() == b.cols());
   assert(c != &a && c != &b && "MatMulTransBInto output must not alias an input");
-  const size_t n = a.rows(), k = a.cols(), m = b.rows();
-  c->Resize(n, m);
-  if (n * k * m < kSmallFlops) {
-    ReferenceMatMulTransBAccum(a, b, c);
-  } else {
-    gemm::GemmBlocked(n, k, m, a.data(), a.cols(), false, b.data(), b.cols(),
-                      true, c->data());
-  }
+  c->ResizeForOverwrite(a.rows(), b.rows());
+  MatMulTransBRows(a, b, c);
 }
 
 void MatMulBlocksInto(const Matrix& a, const Matrix& b,
@@ -239,21 +217,15 @@ void MatMulBlocksInto(const Matrix& a, const Matrix& b,
   assert(!row_offsets.empty() && row_offsets.front() == 0 &&
          row_offsets.back() == a.rows());
   const size_t k = a.cols(), m = b.cols();
-  c->Resize(a.rows(), m);  // reuses capacity; zeroed accumulators
+  c->ResizeForOverwrite(a.rows(), m);  // the blocks cover every row
   for (size_t bi = 0; bi + 1 < row_offsets.size(); ++bi) {
     const size_t r0 = row_offsets[bi], r1 = row_offsets[bi + 1];
     assert(r1 >= r0);
     const size_t n = r1 - r0;
     if (n == 0) continue;
-    // The block's rows are contiguous at full row stride, so either
-    // kernel can treat them as a standalone n x k / n x m pair.
-    if (n * k * m < kSmallFlops) {
-      SmallMatMul(n, k, m, a.RowPtr(r0), k, 1, b.data(), m, c->RowPtr(r0),
-                  m);
-    } else {
-      gemm::GemmBlocked(n, k, m, a.RowPtr(r0), a.cols(), false, b.data(),
-                        b.cols(), false, c->RowPtr(r0));
-    }
+    // The block's rows are contiguous at full row stride, so the kernel
+    // treats them as a standalone n x k / n x m pair.
+    SmallMatMul(n, k, m, a.RowPtr(r0), k, 1, b.data(), m, c->RowPtr(r0), m);
   }
 }
 
@@ -479,5 +451,23 @@ std::vector<double> WeightedLeastSquares(const Matrix& x,
   }
   return SolveSpd(std::move(xtwx), std::move(xtwy), ridge);
 }
+
+namespace gemm {
+
+// The vector ISA this file, and with it the kernel, was compiled for.
+const KernelInfo& ActiveKernel() {
+  static constexpr KernelInfo kKernel{
+#if defined(__AVX512F__)
+      "avx512"
+#elif defined(__AVX2__)
+      "avx2"
+#else
+      "scalar"
+#endif
+  };
+  return kKernel;
+}
+
+}  // namespace gemm
 
 }  // namespace fexiot

@@ -9,49 +9,41 @@ namespace fexiot {
 /// \brief Matrix product C = A * B. Shapes must agree (asserted in debug
 /// builds); all operands are dense row-major.
 ///
-/// Large products run through the cache-blocked packed GEMM in
-/// tensor/gemm.h with an explicit-SIMD microkernel selected once at
-/// startup by CPUID — scalar, AVX2 (6x8 tile) or AVX-512 (8x16 tile),
-/// overridable via the FEXIOT_ISA environment variable — and
-/// row-block-parallel over the shared parallel::For pool. Small products
-/// (under 64^3 flops, where packing overhead dominates — every GNN layer
-/// at the paper's widths) run a register-tiled kernel that equals
-/// ReferenceMatMul bit for bit. See docs/KERNELS.md for the full
-/// architecture.
+/// Every product runs one register-tiled kernel: a 4-row tile of C stays
+/// in local accumulators for the whole inner dimension. The paper's GNN
+/// layers are a few nodes by 308-wide features, where this kernel is
+/// 2–5x the i-k-j reference. See docs/KERNELS.md.
 ///
 /// Contracts:
-///  - Thread-safety: safe to call concurrently from many threads; callers
-///    already running on a pool worker compute inline-serially (the
-///    nested-parallelism guard in common/parallel.h).
+///  - Thread-safety: safe to call concurrently from many threads. The
+///    kernel is serial: it never fans out over the parallel::For pool.
 ///  - Aliasing: the result is a freshly allocated Matrix, so inputs are
 ///    never aliased by the output.
-///  - Determinism: for a fixed ISA tier, results are bit-identical across
-///    thread counts. Across ISA tiers, results agree bit-for-bit between
-///    AVX2 and AVX-512 (same fused-multiply-add sequence per element) and
-///    within a documented ULP bound against scalar (mul+add vs FMA
-///    rounding; see docs/KERNELS.md and tests/test_kernels.cc). The
-///    blocked path may differ from the reference kernel by floating-point
-///    reassociation across depth blocks when the inner dimension exceeds
-///    the depth blocking factor. The small-product path equals the
-///    reference kernel bit for bit in every build.
+///  - Determinism: the result equals ReferenceMatMul bit for bit at every
+///    shape and in every build: each element accumulates the same
+///    zero-skipped products in the same ascending order, with the same
+///    floating-point flags (tests/test_kernels.cc). So it is also the same
+///    for every thread count.
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
 /// \brief C = A^T * B without materializing the transpose (A is stored
-/// k x n; transposition is absorbed by the pack step). Same dispatch,
-/// thread-safety, aliasing and determinism contracts as MatMul.
+/// k x n; the kernel reads it with swapped strides). Same thread-safety,
+/// aliasing and determinism contracts as MatMul, against
+/// ReferenceMatMulTransA.
 Matrix MatMulTransA(const Matrix& a, const Matrix& b);
 
 /// \brief C = A * B^T without materializing the transpose (B is stored
-/// m x k). Same dispatch, thread-safety, aliasing and determinism
-/// contracts as MatMul.
+/// m x k): one dot product per element, the same loop as
+/// ReferenceMatMulTransB, so the bits are the same. Same thread-safety and
+/// aliasing contracts as MatMul.
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 
 /// \brief Reference GEMM kernels: the original naive triple-loop
 /// implementations (i-k-j, skipping a(i,k) == 0.0), retained as the
-/// parity oracle for MatMul* (tests/test_kernels.cc; the small-product
-/// path must match them bit for bit) and as the baseline bench_kernels
-/// measures speedup against. Nothing outside tests and benches calls
-/// them. Single-threaded and ISA-independent (never dispatched).
+/// parity oracle for MatMul* (tests/test_kernels.cc: the results must
+/// match them bit for bit) and as the baseline bench_kernels measures
+/// speedup against. Nothing outside tests and benches calls them.
+/// Single-threaded.
 Matrix ReferenceMatMul(const Matrix& a, const Matrix& b);
 Matrix ReferenceMatMulTransA(const Matrix& a, const Matrix& b);
 Matrix ReferenceMatMulTransB(const Matrix& a, const Matrix& b);
@@ -59,8 +51,8 @@ Matrix ReferenceMatMulTransB(const Matrix& a, const Matrix& b);
 /// \brief In-place variants of MatMul/MatMulTransA/MatMulTransB writing
 /// into a caller-owned output: \p c is resized (capacity is never shrunk,
 /// so a workspace matrix reused across calls stops allocating once warm)
-/// and fully overwritten. Same dispatch and bit-for-bit the same results
-/// as the allocating forms. \p c must not alias \p a or \p b.
+/// and fully overwritten. Bit for bit the same results as the allocating
+/// forms. \p c must not alias \p a or \p b.
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c);
 void MatMulTransAInto(const Matrix& a, const Matrix& b, Matrix* c);
 void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* c);
@@ -69,13 +61,9 @@ void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* c);
 /// computes C = A * B where A's rows are partitioned into horizontal
 /// blocks by \p row_offsets (B+1 ascending entries, front() == 0,
 /// back() == a.rows()), and each block [r0, r1) is multiplied as if it
-/// were a standalone n_b x k matrix. Every block dispatches on its OWN
-/// shape against the same small-product threshold MatMulInto uses, and a
-/// small block runs the same register-tiled kernel, so block b's output
-/// rows are bit-identical to MatMulInto(rows r0..r1 of A, B) — stacking
-/// requests into a batch never flips a block from the small-product
-/// kernel to the blocked GEMM. Same aliasing / thread-safety contracts
-/// as MatMulInto.
+/// were a standalone n_b x k matrix, so block b's output rows are
+/// bit-identical to MatMulInto(rows r0..r1 of A, B). Same aliasing /
+/// thread-safety contracts as MatMulInto.
 void MatMulBlocksInto(const Matrix& a, const Matrix& b,
                       const std::vector<size_t>& row_offsets, Matrix* c);
 

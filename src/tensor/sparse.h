@@ -22,7 +22,7 @@ namespace fexiot {
 ///    indices col_idx()[...] in strictly ascending order within each row.
 ///    Ascending column order is load-bearing: it is what makes SpMM
 ///    reproduce the dense reference kernel's accumulation order bit for
-///    bit (see SpMM below and docs/KERNELS.md §5).
+///    bit (see SpMM below and docs/KERNELS.md §2).
 ///  - Stored values are never 0.0: FromDense, the builders, and the
 ///    mutators drop exact zeros (both +0.0 and -0.0), mirroring the
 ///    reference GEMM's zero-skip.
@@ -120,7 +120,7 @@ class CsrMatrix {
 /// results are bit-identical for every FEXIOT_THREADS value AND bit-
 /// identical to ReferenceMatMul(a.ToDense(), b): the dense kernel skips
 /// exact-zero A entries and adds the survivors in the same ascending-
-/// column order (docs/KERNELS.md §5 has the full determinism argument).
+/// column order (docs/KERNELS.md §2 has the full determinism argument).
 void SpMM(const CsrMatrix& a, const Matrix& b, Matrix* c);
 
 /// \brief Convenience allocating overload of SpMM.

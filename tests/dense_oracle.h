@@ -9,7 +9,7 @@
 // replays of GnnModel::Forward and GnnModel::Backward, so tests can pin
 // the sparse engine to them bit for bit: CSR's ascending-column
 // accumulation replays ReferenceMatMul's zero-skip add order exactly
-// (docs/KERNELS.md §5).
+// (docs/KERNELS.md §2).
 
 #include <algorithm>
 #include <utility>

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "core/fexiot.h"
@@ -39,6 +40,20 @@ TEST(FexIoT, RejectsEmptyTraining) {
   FexIoT fexiot(SmallConfig());
   EXPECT_FALSE(fexiot.TrainLocal(GraphDataset()).ok());
   EXPECT_FALSE(fexiot.trained());
+}
+
+TEST(FexIoT, TrainLocalRejectsInvalidTrainConfig) {
+  Rng rng(72);
+  const GraphDataset data = SmallCorpus(20, &rng);
+  FexIotConfig no_epochs = SmallConfig();
+  no_epochs.train.epochs = 0;
+  FexIotConfig nan_rate = SmallConfig();
+  nan_rate.train.learning_rate = std::numeric_limits<double>::quiet_NaN();
+  for (const FexIotConfig& c : {no_epochs, nan_rate}) {
+    FexIoT fexiot(c);
+    EXPECT_EQ(fexiot.TrainLocal(data).code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(fexiot.trained());
+  }
 }
 
 TEST(FexIoT, TrainPredictExplainEndToEnd) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/parallel.h"
 #include "federated/fl_simulator.h"
@@ -81,6 +82,24 @@ TEST(ValidateFlConfig, RejectsBadValues) {
     fc.runtime.policy = RoundPolicy::kDeadline;
     fc.runtime.deadline_s = 0.0;
     EXPECT_FALSE(ValidateFlConfig(fc).ok());
+  }
+  {
+    // So is the clients' local TrainConfig.
+    FlConfig fc;
+    fc.local.epochs = 0;
+    EXPECT_EQ(ValidateFlConfig(fc).code(), StatusCode::kInvalidArgument);
+  }
+  for (double bad : {0.0, -0.01, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    FlConfig fc;
+    fc.local.learning_rate = bad;
+    EXPECT_FALSE(ValidateFlConfig(fc).ok()) << "learning_rate " << bad;
+    fc = FlConfig{};
+    fc.local.margin = bad;
+    EXPECT_FALSE(ValidateFlConfig(fc).ok()) << "margin " << bad;
+    fc = FlConfig{};
+    fc.local.pairs_per_sample = bad;
+    EXPECT_FALSE(ValidateFlConfig(fc).ok()) << "pairs_per_sample " << bad;
   }
 }
 

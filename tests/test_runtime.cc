@@ -1195,13 +1195,15 @@ RuntimeConfig AsyncFaultyConfig(RoundPolicy policy, uint64_t seed) {
   return rc;
 }
 
-ParityRun RunAsyncWithThreads(RoundPolicy policy, int threads, uint64_t seed) {
+ParityRun RunAsyncWithThreads(RoundPolicy policy, int threads, uint64_t seed,
+                              std::vector<WireCodec> client_codecs = {}) {
   const Fixture& f = Fixture::Get();
   parallel::SetThreads(static_cast<size_t>(threads));
   FlConfig fc = f.fc;
   fc.threads = threads;
   fc.seed = 59 + seed;
   fc.runtime = AsyncFaultyConfig(policy, 0x7E57AB1EULL + seed);
+  fc.runtime.client_codecs = std::move(client_codecs);
   FederatedSimulator sim(f.gc, fc);
   sim.SetupClients(f.corpus.data, f.corpus.partition, f.corpus.cluster_tests);
   ParityRun run;
@@ -1230,12 +1232,26 @@ TEST(FederatedSimulatorRuntime, AsyncRunRecordsStalenessTelemetry) {
 }
 
 TEST(FederatedSimulatorRuntime, AsyncRunIsBitIdenticalAcrossThreadCounts) {
+  // An fp64 fleet, and a mixed one whose int8 clients' installs and
+  // uplink reads go through the int8 codec.
+  const std::vector<WireCodec> mixed = {WireCodec::kInt8, WireCodec::kFp64,
+                                        WireCodec::kInt8, WireCodec::kFp64};
   for (RoundPolicy policy : {RoundPolicy::kAsync, RoundPolicy::kSemiAsync}) {
-    const ParityRun r1 = RunAsyncWithThreads(policy, 1, 0);
-    const ParityRun r4 = RunAsyncWithThreads(policy, 4, 0);
-    ASSERT_FALSE(r1.trace.empty());
-    EXPECT_EQ(r1.trace, r4.trace) << RoundPolicyName(policy);
-    EXPECT_EQ(r1.digest, r4.digest) << RoundPolicyName(policy);
+    std::string fp64_digest;
+    for (const std::vector<WireCodec>& fleet : {std::vector<WireCodec>{},
+                                                mixed}) {
+      const ParityRun r1 = RunAsyncWithThreads(policy, 1, 0, fleet);
+      const ParityRun r4 = RunAsyncWithThreads(policy, 4, 0, fleet);
+      ASSERT_FALSE(r1.trace.empty());
+      EXPECT_EQ(r1.trace, r4.trace) << RoundPolicyName(policy);
+      EXPECT_EQ(r1.digest, r4.digest) << RoundPolicyName(policy);
+      if (fleet.empty()) {
+        fp64_digest = r1.digest;
+      } else {
+        // Liveness: a codec that changed nothing would pass vacuously.
+        EXPECT_NE(r1.digest, fp64_digest) << RoundPolicyName(policy);
+      }
+    }
   }
 }
 

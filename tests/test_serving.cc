@@ -168,10 +168,8 @@ TEST(CsrMutation, BlockDiagonalMatchesDenseOracle) {
 // ---------------------------------------------------------------------------
 
 TEST(MatMulBlocks, BitIdenticalToPerBlockMatMulAcrossDispatchThreshold) {
-  // k = 308, m = 16: a 20-row block stays under the small-product
-  // threshold (reference kernel), a 60-row block crosses it (blocked
-  // GEMM). The batched kernel must dispatch per block and match
-  // MatMulInto on each slice bit for bit — including a zero-row block.
+  // k = 308, m = 16, blocks of 20, 0, 60 and 1 rows: the batched kernel
+  // must match MatMulInto on each slice bit for bit.
   const size_t k = 308, m = 16;
   const std::vector<size_t> offsets = {0, 20, 20, 80, 81};
   const size_t n = offsets.back();

@@ -102,7 +102,7 @@ TEST(CsrMatrix, TransposedIsExactAndOrdered) {
 
 // The load-bearing guarantee: SpMM reproduces the dense path bit for bit,
 // because both accumulate each output element's nonzero terms in ascending
-// source-column order (docs/KERNELS.md §5).
+// source-column order (docs/KERNELS.md §2).
 TEST(SpMM, BitExactParityWithDenseMatMul) {
   Rng rng(17);
   for (double density : {0.02, 0.1, 0.5}) {

@@ -185,7 +185,7 @@ TEST(Ops, WeightedLeastSquaresRespectsWeights) {
   EXPECT_NEAR(beta[0], 10.0, 1e-3);
 }
 
-// Property: (A * B)^T == B^T * A^T, through the blocked kernels.
+// Property: (A * B)^T == B^T * A^T, through MatMul.
 TEST(Ops, MatMulTransposeProperty) {
   Rng rng(21);
   for (const auto& [n, k, m] :
@@ -203,8 +203,8 @@ TEST(Ops, MatMulTransposeProperty) {
 }
 
 // Property: the three MatMul variants agree with explicit transposition
-// at sizes large enough to take the blocked path.
-TEST(Ops, TransVariantsConsistentAtBlockedSizes) {
+// at sizes larger than the paper's.
+TEST(Ops, TransVariantsConsistentAtLargeSizes) {
   Rng rng(22);
   const size_t n = 72, k = 68, m = 75;
   const Matrix a = Matrix::RandomNormal(n, k, 1.0, &rng);
