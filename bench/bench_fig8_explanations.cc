@@ -6,13 +6,15 @@
 // inspector. Here we print the chosen subgraphs plus the ground-truth
 // witness so conciseness and witness coverage can be compared directly.
 //
-// The second half benchmarks the parallel explanation engine (PR 9) on the
-// same workload: the memo-free serial reference search vs. the full engine
+// The second half benchmarks the parallel explanation engine on the same
+// workload: the memo-free serial reference search vs. the full engine
 // (transposition table + score memo + batched leaf inference) at 1/2/4
 // threads, writing bench/results/BENCH_explain.json. Engine results are
 // bit-identical across thread counts (asserted via a content digest); the
 // speedup over the reference comes from reward reuse and block-diagonal
-// batching, so it holds even on a single-core host.
+// batching, so it holds even on a single-core host. Both modes score
+// subsets from the scorer's cached first-layer rows; each record carries
+// the rows served and the distinct rows computed.
 
 #include <memory>
 #include <set>
@@ -27,6 +29,11 @@
 #include "gnn/trainer.h"
 #include "graph/corpus.h"
 #include "ml/linear_model.h"
+#include "tensor/gemm.h"
+
+#ifndef FEXIOT_BUILD_TYPE
+#define FEXIOT_BUILD_TYPE "unknown"
+#endif
 
 using namespace fexiot;
 using namespace fexiot::bench;
@@ -43,6 +50,8 @@ struct ExplainRecord {
   long long score_memo_hits = 0;
   long long reward_lookups = 0;  // tt_hits + unique rewards computed
   int subgraphs_scored = 0;
+  long long rows_served = 0;     // first-layer rows the evaluations read
+  long long rows_computed = 0;   // distinct ones run through layer 0
   uint64_t digest = 0;
 };
 
@@ -84,6 +93,8 @@ ExplainRecord RunConfig(const std::vector<InteractionGraph>& graphs,
       rec.tt_hits += res.tt_hits;
       rec.score_memo_hits += scorer.memo_hits();
       rec.subgraphs_scored += res.subgraphs_scored;
+      rec.rows_served += scorer.rows_served();
+      rec.rows_computed += scorer.rows_computed();
     }
   }
   rec.wall_seconds = watch.ElapsedSeconds();
@@ -102,13 +113,16 @@ bool WriteJson(const std::string& path,
     return false;
   }
   std::fprintf(f, "{\n  \"bench\": \"explain\",\n");
-  std::fprintf(f, "  \"version\": 1,\n");
+  std::fprintf(f, "  \"version\": 2,\n");
   std::fprintf(f,
                "  \"sweep\": \"reference serial search vs parallel engine "
                "(transposition table + score memo + batched leaves) at "
-               "1/2/4 threads\",\n");
+               "1/2/4 threads; both score subsets from cached first-layer "
+               "rows\",\n");
+  std::fprintf(f, "  \"isa\": \"%s\",\n", gemm::ActiveKernel().name);
   std::fprintf(f, "  \"host_cpus\": %u,\n",
                std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"build_type\": \"%s\",\n", FEXIOT_BUILD_TYPE);
   std::fprintf(f, "  \"bit_identical_across_threads\": %s,\n",
                bit_identical ? "true" : "false");
   std::fprintf(f, "  \"records\": [\n");
@@ -119,16 +133,22 @@ bool WriteJson(const std::string& path,
             ? static_cast<double>(r.tt_hits) /
                   static_cast<double>(r.reward_lookups)
             : 0.0;
+    const double row_reuse =
+        r.rows_served > 0 ? 1.0 - static_cast<double>(r.rows_computed) /
+                                      static_cast<double>(r.rows_served)
+                          : 0.0;
     std::fprintf(
         f,
         "    {\"mode\": \"%s\", \"threads\": %zu, "
         "\"wall_seconds\": %.4f, \"speedup_vs_serial\": %.2f, "
         "\"model_evals\": %lld, \"tt_hits\": %lld, "
         "\"tt_hit_rate\": %.3f, \"score_memo_hits\": %lld, "
-        "\"subgraphs_scored\": %d, \"digest\": \"%016llx\"}%s\n",
+        "\"subgraphs_scored\": %d, \"rows_served\": %lld, "
+        "\"rows_computed\": %lld, \"row_reuse\": %.3f, "
+        "\"digest\": \"%016llx\"}%s\n",
         r.mode.c_str(), r.threads, r.wall_seconds, r.speedup_vs_serial,
         r.model_evals, r.tt_hits, hit_rate, r.score_memo_hits,
-        r.subgraphs_scored,
+        r.subgraphs_scored, r.rows_served, r.rows_computed, row_reuse,
         static_cast<unsigned long long>(r.digest),
         i + 1 < records.size() ? "," : "");
   }
@@ -265,7 +285,8 @@ int main(int argc, char** argv) {
   }
 
   TablePrinter table({"mode", "threads", "wall s", "speedup", "model evals",
-                      "tt_hits", "memo_hits", "digest"});
+                      "tt_hits", "memo_hits", "rows served", "rows computed",
+                      "digest"});
   for (const ExplainRecord& r : records) {
     char dig[20];
     std::snprintf(dig, sizeof(dig), "%016llx",
@@ -273,7 +294,9 @@ int main(int argc, char** argv) {
     table.AddRow({r.mode, std::to_string(r.threads), Fmt(r.wall_seconds, 3),
                   Fmt(r.speedup_vs_serial, 2), std::to_string(r.model_evals),
                   std::to_string(r.tt_hits),
-                  std::to_string(r.score_memo_hits), dig});
+                  std::to_string(r.score_memo_hits),
+                  std::to_string(r.rows_served),
+                  std::to_string(r.rows_computed), dig});
   }
   table.Print();
   std::printf(

@@ -27,7 +27,8 @@ namespace {
 /// O(n + e log e), never densifying an n x n matrix. Values are
 /// bit-identical to the dense build (tests/dense_oracle.h): GCN degrees
 /// are exact small-integer doubles either way, and each entry is the
-/// one-rounding product dinv[i] * dinv[j] (GIN entries are exactly 1.0).
+/// one-rounding product GcnPropagationValue(dinv[i], dinv[j]) (GIN
+/// entries are exactly 1.0).
 CsrMatrix BuildPropagationCsr(const InteractionGraph& g, bool gin) {
   const size_t n = static_cast<size_t>(g.num_nodes());
   // Undirected skeleton with self loops, deduplicated and column-sorted.
@@ -44,17 +45,15 @@ CsrMatrix BuildPropagationCsr(const InteractionGraph& g, bool gin) {
   std::vector<double> dinv;
   if (!gin) {
     dinv.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      const double deg = static_cast<double>(adj[i].size());
-      dinv[i] = deg > 0.0 ? 1.0 / std::sqrt(deg) : 0.0;
-    }
+    for (size_t i = 0; i < n; ++i) dinv[i] = GcnDegreeScale(adj[i].size());
   }
   std::vector<std::vector<std::pair<int, double>>> rows(n);
   for (size_t i = 0; i < n; ++i) {
     rows[i].reserve(adj[i].size());
     for (int j : adj[i]) {
       const double v =
-          gin ? 1.0 : dinv[i] * dinv[static_cast<size_t>(j)];
+          gin ? 1.0
+              : GcnPropagationValue(dinv[i], dinv[static_cast<size_t>(j)]);
       rows[i].emplace_back(j, v);
     }
   }
@@ -94,6 +93,11 @@ void PoolMeanMaxRows(const Matrix& hf, size_t r0, size_t r1, double* pooled,
 }
 
 }  // namespace
+
+double GcnDegreeScale(size_t closed_degree) {
+  const double deg = static_cast<double>(closed_degree);
+  return deg > 0.0 ? 1.0 / std::sqrt(deg) : 0.0;
+}
 
 Status ValidateGnnConfig(const GnnConfig& config) {
   switch (config.type) {
@@ -353,42 +357,56 @@ void GnnModel::ForwardBatch(const GraphBatch& batch, BatchForwardWorkspace* ws,
   assert(ws != nullptr && embeddings != nullptr);
   embeddings->resize(batch.size());
   if (batch.size() == 0) return;
-  const PreparedGraph& g = batch.stacked;
-  assert(g.num_nodes > 0);
+  assert(batch.stacked.num_nodes > 0);
+  ForwardFirstLayer(batch.stacked, batch.row_offsets, ws);
+  ForwardRest(batch.stacked.prop_csr, batch.row_offsets, ws, embeddings);
+}
 
-  const size_t readout_index = layers_.size() - 1;
-  const bool magnn = config_.type == GnnType::kMagnn;
-  const size_t first_mp = magnn ? 1 : 0;
-
-  const Matrix* h = nullptr;
-  if (magnn) {
+void GnnModel::ForwardFirstLayer(const PreparedGraph& g,
+                                 const std::vector<size_t>& row_offsets,
+                                 BatchForwardWorkspace* ws) const {
+  assert(ws != nullptr);
+  if (config_.type == GnnType::kMagnn) {
     InputProjectionInto(g, &ws->pre, &ws->h);
-    h = &ws->h;
+    return;
   }
+  // GCN/GIN layer 0 reads the stacked P X rows. Each block is multiplied
+  // as a standalone product, as the per-graph Forward does.
+  MatMulBlocksInto(g.input, layers_[0].params[0], row_offsets, &ws->z);
+  AddBiasRow(&ws->z, layers_[0].params[1]);
+  ReluInto(ws->z, &ws->h);
+}
 
-  for (size_t l = first_mp; l < readout_index; ++l) {
+void GnnModel::ForwardRest(const CsrMatrix& prop,
+                           const std::vector<size_t>& row_offsets,
+                           BatchForwardWorkspace* ws,
+                           std::vector<std::vector<double>>* embeddings) const {
+  assert(ws != nullptr && embeddings != nullptr);
+  assert(!row_offsets.empty() && prop.rows() == row_offsets.back() &&
+         ws->h.rows() == prop.rows());
+  const size_t batch_size = row_offsets.size() - 1;
+  embeddings->resize(batch_size);
+  const size_t readout_index = layers_.size() - 1;
+  // Layer 0 (MAGNN: the input projection) already ran; every layer left
+  // is a message-passing layer.
+  for (size_t l = 1; l < readout_index; ++l) {
     // One SpMM over the block-diagonal CSR propagates every graph in the
     // batch: each stacked row accumulates exactly its block's ascending-
-    // column entries, so per-row bits match the per-graph SpMM (and a
-    // GCN/GIN layer 0 reads the stacked P X rows instead). The dense
+    // column entries, so per-row bits match the per-graph SpMM. The dense
     // transform multiplies each block as a standalone product, so each
     // graph's rows get the bits its own Forward computes.
-    const Matrix* m = &g.input;
-    if (l > 0) {
-      SpMM(g.prop_csr, *h, &ws->m);
-      m = &ws->m;
-    }
-    MatMulBlocksInto(*m, layers_[l].params[0], batch.row_offsets, &ws->z);
+    SpMM(prop, ws->h, &ws->m);
+    MatMulBlocksInto(ws->m, layers_[l].params[0], row_offsets, &ws->z);
     AddBiasRow(&ws->z, layers_[l].params[1]);
     ReluInto(ws->z, &ws->h);
-    h = &ws->h;
   }
 
   // Per-graph [mean | max] readout over the graph's stacked row range.
-  const size_t hd = h->cols();
+  const Matrix& h = ws->h;
+  const size_t hd = h.cols();
   ws->pooled.ResizeForOverwrite(1, 2 * hd);
-  for (size_t b = 0; b < batch.size(); ++b) {
-    PoolMeanMaxRows(*h, batch.row_offsets[b], batch.row_offsets[b + 1],
+  for (size_t b = 0; b < batch_size; ++b) {
+    PoolMeanMaxRows(h, row_offsets[b], row_offsets[b + 1],
                     ws->pooled.RowPtr(0), nullptr);
     MatMulInto(ws->pooled, layers_[readout_index].params[0], &ws->emb);
     AddBiasRow(&ws->emb, layers_[readout_index].params[1]);

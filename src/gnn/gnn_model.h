@@ -81,12 +81,25 @@ PreparedGraph PrepareGraph(const InteractionGraph& g, const GnnConfig& config);
 
 /// \brief (Re)builds \p p's node_space, features_hetero and input from
 /// \p g's node features under the padding and input contracts above.
-/// For GCN/GIN, p->prop_csr must already describe \p g's edges; X is
-/// staged in \p raw (a reusable scratch, untouched for MAGNN). The one
-/// home of the pad/truncate rule: PrepareGraph and the serving engine's
-/// snapshot refill both call it.
+/// For GCN/GIN, p->prop_csr must already describe \p g's edges, and X is
+/// staged in \p raw, which keeps it after the call (a reusable scratch,
+/// untouched for MAGNN). The one home of the pad/truncate rule:
+/// PrepareGraph, the serving engine's snapshot refill and the explanation
+/// scorer (which propagates X rows itself) all call it.
 void FillPreparedInput(const InteractionGraph& g, const GnnConfig& config,
                        PreparedGraph* p, Matrix* raw);
+
+/// \brief GCN's D^-1/2 factor: 1/sqrt(d) for a node whose closed
+/// neighbourhood (self loop included) has \p closed_degree members.
+double GcnDegreeScale(size_t closed_degree);
+
+/// \brief GCN's propagation entry (D^-1/2 (A + I) D^-1/2)(i, j) from the
+/// two nodes' GcnDegreeScale factors: one rounded product. The one home of
+/// the rule: PrepareGraph's propagation matrix (GCN and MAGNN) and the
+/// explanation scorer's subset rows both compute their values here.
+inline double GcnPropagationValue(double scale_i, double scale_j) {
+  return scale_i * scale_j;
+}
 
 /// \brief Activation/pre-activation caches recorded by a forward pass,
 /// consumed by Backward(). Matrices are resized in place on reuse, so a
@@ -150,7 +163,9 @@ void AssembleGraphBatch(const std::vector<const PreparedGraph*>& graphs,
 /// forwarding worker; matrices grow to peak batch shape, then stop
 /// allocating).
 struct BatchForwardWorkspace {
-  Matrix h;       ///< activation (total_nodes x hidden)
+  /// Activation (total_nodes x hidden): ForwardFirstLayer's output and
+  /// ForwardRest's input.
+  Matrix h;
   Matrix m;       ///< propagation product P * H (layers past the input)
   Matrix z;       ///< pre-activation
   Matrix pre;     ///< MAGNN input-projection pre-activation
@@ -198,9 +213,36 @@ class GnnModel {
   /// row's accumulation order, the dense transform multiplies each block
   /// as a standalone product, and pooling/readout share the per-graph
   /// code paths. Inference only (no caches recorded); \p embeddings is
-  /// resized to the batch size.
+  /// resized to the batch size. It is ForwardFirstLayer on the stacked
+  /// graph followed by ForwardRest.
   void ForwardBatch(const GraphBatch& batch, BatchForwardWorkspace* ws,
                     std::vector<std::vector<double>>* embeddings) const;
+
+  /// \brief The first half of ForwardBatch: parameter layer 0 on every
+  /// row of \p g into ws->h. That is relu((P X) W0 + b0) for GCN/GIN, one
+  /// dense product per block of \p row_offsets (B+1 ascending entries
+  /// covering g's rows), and the per-space input projection for MAGNN.
+  /// Row r of ws->h depends only on row r of g's inputs (its P X row;
+  /// for MAGNN its X or hetero row and its space): the dense kernel
+  /// computes each element as its own chain over ascending k
+  /// (docs/KERNELS.md §3), bias and ReLU are element-wise, and the
+  /// projection runs node by node. So a row computed in any batch, at any
+  /// position, has the same bits; the explanation scorer caches rows on
+  /// that basis.
+  void ForwardFirstLayer(const PreparedGraph& g,
+                         const std::vector<size_t>& row_offsets,
+                         BatchForwardWorkspace* ws) const;
+
+  /// \brief The second half of ForwardBatch. On entry ws->h holds the
+  /// first-layer activations of a block-diagonal batch whose stacked
+  /// propagation matrix is \p prop and whose graph b owns rows
+  /// [row_offsets[b], row_offsets[b+1]) (every block non-empty). Runs the
+  /// remaining message-passing layers and the per-graph [mean | max]
+  /// readout; \p embeddings is resized to the batch size.
+  void ForwardRest(const CsrMatrix& prop,
+                   const std::vector<size_t>& row_offsets,
+                   BatchForwardWorkspace* ws,
+                   std::vector<std::vector<double>>* embeddings) const;
 
   /// \brief Accumulates parameter gradients given dL/d(embedding).
   void Backward(const ForwardCache& cache,

@@ -124,20 +124,36 @@ bool InteractionGraph::IsConnectedSubset(
     const std::vector<int>& node_ids) const {
   if (node_ids.empty()) return false;
   if (node_ids.size() == 1) return true;
-  std::set<int> subset(node_ids.begin(), node_ids.end());
+  // One flat mark per node: 0 outside the subset, 1 a member not yet
+  // reached, 2 reached. Edges are walked in both directions straight off
+  // the adjacency lists.
+  std::vector<unsigned char> mark(nodes_.size(), 0);
+  size_t members = 0;
+  for (int v : node_ids) {
+    unsigned char& m = mark[static_cast<size_t>(v)];
+    if (m == 0) {
+      m = 1;
+      ++members;
+    }
+  }
   std::vector<int> stack = {node_ids.front()};
-  std::set<int> seen = {node_ids.front()};
+  mark[static_cast<size_t>(node_ids.front())] = 2;
+  size_t reached = 1;
   while (!stack.empty()) {
-    const int u = stack.back();
+    const size_t u = static_cast<size_t>(stack.back());
     stack.pop_back();
-    for (int v : UndirectedNeighbors(u)) {
-      if (subset.count(v) && !seen.count(v)) {
-        seen.insert(v);
-        stack.push_back(v);
+    for (const std::vector<int>* adj : {&out_adj_[u], &in_adj_[u]}) {
+      for (int v : *adj) {
+        unsigned char& m = mark[static_cast<size_t>(v)];
+        if (m == 1) {
+          m = 2;
+          ++reached;
+          stack.push_back(v);
+        }
       }
     }
   }
-  return seen.size() == subset.size();
+  return reached == members;
 }
 
 std::vector<std::vector<int>> InteractionGraph::ConnectedComponents() const {

@@ -99,10 +99,15 @@ class InteractionGraph {
   Matrix NormalizedAdjacency() const;
 
   /// \brief Node-induced subgraph; labels/metadata are copied,
-  /// \p node_ids order defines new node ids.
+  /// \p node_ids order defines new node ids. The explanation scorer's
+  /// masking is defined by it, and the tests use it as that oracle; the
+  /// scorer itself never copies a subgraph (docs/EXPLAIN.md §3).
   InteractionGraph InducedSubgraph(const std::vector<int>& node_ids) const;
 
-  /// \brief True if the undirected skeleton of the node subset is connected.
+  /// \brief True if the undirected skeleton of the node subset is
+  /// connected (false for the empty subset). Walks the adjacency lists
+  /// with one flat mark per node; the explanation search calls it once
+  /// per candidate pruning.
   bool IsConnectedSubset(const std::vector<int>& node_ids) const;
 
   /// \brief Connected components of the undirected skeleton.

@@ -17,6 +17,28 @@ constexpr size_t kSpmmSerialFlops = 32 * 1024;
 
 }  // namespace
 
+CsrMatrix::CsrMatrix(size_t rows, size_t cols, std::vector<size_t> row_ptr,
+                     std::vector<int> col_idx, std::vector<double> values)
+    : rows_(rows),
+      cols_(cols),
+      row_ptr_(std::move(row_ptr)),
+      col_idx_(std::move(col_idx)),
+      values_(std::move(values)) {
+#ifndef NDEBUG
+  assert(row_ptr_.size() == rows_ + 1 && row_ptr_.front() == 0 &&
+         row_ptr_.back() == values_.size() &&
+         col_idx_.size() == values_.size());
+  for (size_t r = 0; r < rows_; ++r) {
+    assert(row_ptr_[r] <= row_ptr_[r + 1]);
+    for (size_t idx = row_ptr_[r]; idx < row_ptr_[r + 1]; ++idx) {
+      assert(col_idx_[idx] >= 0 && static_cast<size_t>(col_idx_[idx]) < cols_);
+      assert(idx == row_ptr_[r] || col_idx_[idx - 1] < col_idx_[idx]);
+      assert(values_[idx] != 0.0);
+    }
+  }
+#endif
+}
+
 CsrMatrix CsrMatrix::FromDense(const Matrix& dense) {
   CsrMatrix out;
   out.rows_ = dense.rows();

@@ -34,6 +34,14 @@ class CsrMatrix {
  public:
   CsrMatrix() : rows_(0), cols_(0), row_ptr_(1, 0) {}
 
+  /// \brief Adopts ready-made CSR arrays. They must already satisfy the
+  /// layout contract above (rows+1 offsets from 0 to nnz, strictly
+  /// ascending in-range columns per row, no stored zeros); debug builds
+  /// assert it. For builders that produce the arrays directly, such as
+  /// the explanation scorer's stacked subset rows.
+  CsrMatrix(size_t rows, size_t cols, std::vector<size_t> row_ptr,
+            std::vector<int> col_idx, std::vector<double> values);
+
   /// \brief Builds a CSR matrix from a dense one, dropping exact zeros.
   static CsrMatrix FromDense(const Matrix& dense);
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "common/parallel.h"
 #include "explain/explainer.h"
@@ -235,12 +237,172 @@ TEST(GnnGraphScorer, ScoreBatchMatchesSequentialScoreBitwise) {
   batched.ScoreBatch(sets, &got);
   EXPECT_EQ(batched.evaluations(), 6);
   for (size_t i = 0; i < sets.size(); ++i) EXPECT_EQ(expected[i], got[i]);
-  // Single-element batches take the sequential fallback path.
+  // Single-element batches take the same path as any other batch.
   std::vector<double> lone;
   GnnGraphScorer single(&f.model, &f.head, &g);
   single.ScoreBatch({{1, 2}}, &lone);
   EXPECT_EQ(lone[0], seq.Score({1, 2}));
   EXPECT_EQ(single.evaluations(), 1);
+}
+
+/// The masking oracle (docs/EXPLAIN.md §3): the induced subgraph,
+/// prepared and run through the whole model.
+double InducedOracle(const GnnModel& model, const SgdClassifier& head,
+                     const InteractionGraph& g, const std::vector<int>& s) {
+  if (s.empty()) {
+    return head.PredictProba(std::vector<double>(
+        static_cast<size_t>(model.config().embedding_dim), 0.0));
+  }
+  return head.PredictProba(model.Forward(
+      PrepareGraph(g.InducedSubgraph(s), model.config()), nullptr));
+}
+
+/// Subsets that exercise the row cache: the empty set, the full graph in
+/// ascending and descending order, every singleton, random subsets in
+/// sampled (unsorted) and in sorted order, and repeats of earlier ones.
+std::vector<std::vector<int>> CacheSubsets(const InteractionGraph& g,
+                                           Rng* rng) {
+  const int n = g.num_nodes();
+  std::vector<int> all(static_cast<size_t>(n));
+  for (int v = 0; v < n; ++v) all[static_cast<size_t>(v)] = v;
+  std::vector<std::vector<int>> sets = {{}, all, {all.rbegin(), all.rend()}};
+  for (int v = 0; v < n; ++v) sets.push_back({v});
+  for (int k = 0; k < 16; ++k) {
+    const size_t size = 1 + static_cast<size_t>(rng->UniformInt(
+                                static_cast<uint64_t>(n)));
+    std::vector<int> s;
+    for (size_t v : rng->SampleWithoutReplacement(static_cast<size_t>(n),
+                                                  size)) {
+      s.push_back(static_cast<int>(v));
+    }
+    sets.push_back(s);
+    std::sort(s.begin(), s.end());
+    sets.push_back(std::move(s));
+  }
+  for (size_t k = 0; k < 6; ++k) sets.push_back(sets[2 * k + 1]);
+  return sets;
+}
+
+/// A random-weight model of \p type over a mixed IFTTT/Alexa corpus, with
+/// a head fitted to its embeddings; scores need only be exact, not good.
+struct MixedCorpusModel {
+  GnnConfig gc;
+  GnnModel model;
+  SgdClassifier head;
+  std::vector<InteractionGraph> graphs;
+
+  explicit MixedCorpusModel(GnnType type)
+      : gc([type] {
+          GnnConfig c;
+          c.type = type;
+          c.hidden_dim = 12;
+          c.embedding_dim = 12;
+          return c;
+        }()),
+        model(gc) {
+    CorpusOptions opt;
+    opt.platforms = {Platform::kIfttt, Platform::kAlexa};
+    opt.min_nodes = 5;
+    opt.max_nodes = 10;
+    opt.vulnerable_fraction = 0.5;
+    Rng rng(4242);
+    GraphCorpusGenerator gen(opt, &rng);
+    const GraphDataset train(gen.GenerateDataset(24));
+    Matrix z(train.size(), static_cast<size_t>(gc.embedding_dim));
+    for (size_t i = 0; i < train.size(); ++i) {
+      z.SetRow(i, model.Forward(PrepareGraph(train.graph(i), gc), nullptr));
+    }
+    EXPECT_TRUE(head.Fit(z, train.Labels()).ok());
+    for (int k = 0; k < 3; ++k) {
+      graphs.push_back(gen.GenerateVulnerable(gen.SampleVulnerabilityType()));
+    }
+  }
+};
+
+TEST(GnnGraphScorer, CachedRowsEqualInducedSubgraphForward) {
+  for (const GnnType type : {GnnType::kGcn, GnnType::kGin, GnnType::kMagnn}) {
+    const MixedCorpusModel m(type);
+    bool sentence_space = false;
+    Rng rng(71);
+    for (const InteractionGraph& g : m.graphs) {
+      for (int v = 0; v < g.num_nodes(); ++v) {
+        sentence_space |= g.node(v).features.size() ==
+                          static_cast<size_t>(kHeteroFeatureDim);
+      }
+      const std::vector<std::vector<int>> sets = CacheSubsets(g, &rng);
+      std::vector<double> expected;
+      for (const auto& s : sets) {
+        expected.push_back(InducedOracle(m.model, m.head, g, s));
+      }
+      const std::string where = std::string(GnnTypeName(type)) + " graph " +
+                                std::to_string(g.num_nodes()) + " nodes";
+      // Score on a fresh scorer: the cache warms as the queries go.
+      GnnGraphScorer one(&m.model, &m.head, &g);
+      for (size_t i = 0; i < sets.size(); ++i) {
+        EXPECT_EQ(one.Score(sets[i]), expected[i]) << where << " set " << i;
+      }
+      // ScoreBatch on a fresh scorer, then again on the warm one with the
+      // memo off, so every subset is rebuilt from cached rows.
+      GnnGraphScorer batched(&m.model, &m.head, &g);
+      std::vector<double> got;
+      batched.ScoreBatch(sets, &got);
+      ASSERT_EQ(got.size(), sets.size());
+      for (size_t i = 0; i < sets.size(); ++i) {
+        EXPECT_EQ(got[i], expected[i]) << where << " set " << i;
+      }
+      const long long computed = batched.rows_computed();
+      batched.set_memoize(false);
+      batched.ScoreBatch(sets, &got);
+      for (size_t i = 0; i < sets.size(); ++i) {
+        EXPECT_EQ(got[i], expected[i]) << where << " warm set " << i;
+        EXPECT_EQ(batched.Score(sets[i]), expected[i]) << where;
+      }
+      EXPECT_EQ(batched.rows_computed(), computed) << where;
+      EXPECT_GT(batched.rows_served(), computed) << where;
+    }
+    EXPECT_TRUE(sentence_space) << GnnTypeName(type);
+  }
+}
+
+TEST(GnnGraphScorer, ConcurrentBatchesEqualSerialScorer) {
+  const MixedCorpusModel m(GnnType::kGcn);
+  const InteractionGraph& g = m.graphs.front();
+  Rng rng(72);
+  const std::vector<std::vector<int>> sets = CacheSubsets(g, &rng);
+  // Overlapping batches: batch k takes 9 consecutive subsets from k.
+  std::vector<std::vector<std::vector<int>>> batches(24);
+  for (size_t k = 0; k < batches.size(); ++k) {
+    for (size_t j = 0; j < 9; ++j) {
+      batches[k].push_back(sets[(k + j) % sets.size()]);
+    }
+  }
+  for (const bool memo : {true, false}) {
+    GnnGraphScorer serial(&m.model, &m.head, &g);
+    serial.set_memoize(memo);
+    std::vector<std::vector<double>> expected(batches.size());
+    for (size_t k = 0; k < batches.size(); ++k) {
+      serial.ScoreBatch(batches[k], &expected[k]);
+    }
+    parallel::SetThreads(4);
+    GnnGraphScorer shared(&m.model, &m.head, &g);
+    shared.set_memoize(memo);
+    std::vector<std::vector<double>> got(batches.size());
+    parallel::For(batches.size(),
+                  [&](size_t k) { shared.ScoreBatch(batches[k], &got[k]); });
+    parallel::SetThreads(0);
+    for (size_t k = 0; k < batches.size(); ++k) {
+      ASSERT_EQ(got[k].size(), expected[k].size());
+      for (size_t j = 0; j < got[k].size(); ++j) {
+        EXPECT_EQ(got[k][j], expected[k][j])  // bitwise
+            << "memo=" << memo << " batch " << k << " set " << j;
+      }
+    }
+    EXPECT_EQ(shared.evaluations(), serial.evaluations());
+    EXPECT_EQ(shared.queries(), serial.queries());
+    EXPECT_EQ(shared.queries(), shared.evaluations() + shared.memo_hits());
+    EXPECT_EQ(shared.rows_served(), serial.rows_served());
+    EXPECT_EQ(shared.rows_computed(), serial.rows_computed());
+  }
 }
 
 TEST(ParallelSearch, ThreadCountDoesNotChangeExplanationBits) {

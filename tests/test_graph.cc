@@ -72,6 +72,37 @@ TEST(InteractionGraph, ConnectivityQueries) {
   EXPECT_EQ(g.ConnectedComponents().size(), 2u);
 }
 
+TEST(InteractionGraph, IsConnectedSubsetMatchesInducedComponents) {
+  // Oracle: a subset is connected iff its induced subgraph has exactly one
+  // connected component; checked on every subset of a few random graphs.
+  Rng rng(907);
+  for (int trial = 0; trial < 6; ++trial) {
+    const int n = trial == 5 ? 12 : 4 + trial;  // 4..8, then 12
+    InteractionGraph g;
+    for (int i = 0; i < n; ++i) g.AddNode(GraphNode{});
+    const double p = trial % 2 == 0 ? 0.2 : 0.35;
+    for (int u = 0; u < n; ++u) {
+      for (int v = 0; v < n; ++v) {
+        if (u != v && rng.Bernoulli(p)) g.AddEdge(u, v);
+      }
+    }
+    for (uint32_t mask = 0; mask < (1u << n); ++mask) {
+      std::vector<int> s;
+      for (int v = 0; v < n; ++v) {
+        if (mask & (1u << v)) s.push_back(v);
+      }
+      const bool expected =
+          !s.empty() && g.InducedSubgraph(s).ConnectedComponents().size() == 1;
+      ASSERT_EQ(g.IsConnectedSubset(s), expected)
+          << "trial " << trial << " mask " << mask;
+    }
+  }
+  InteractionGraph single;
+  single.AddNode(GraphNode{});
+  EXPECT_FALSE(single.IsConnectedSubset({}));
+  EXPECT_TRUE(single.IsConnectedSubset({0}));
+}
+
 TEST(InteractionGraph, DirectedCycleDetection) {
   InteractionGraph g;
   for (int i = 0; i < 3; ++i) g.AddNode(GraphNode{});
