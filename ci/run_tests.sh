@@ -26,7 +26,8 @@
 #    pool / parallel facade / concurrent dense products / SpMM row
 #    fan-out / corpus fan-out / federated rounds incl.
 #    the async policies / lazy-state scale driver / batched serving
-#    inference / parallel explanation search with its shared score memo);
+#    inference / parallel explanation search with its shared score memo /
+#    concurrent online fusion through the process-wide text-feature memo);
 #  - the whole tier-1 suite under AddressSanitizer + UndefinedBehavior-
 #    Sanitizer (-DFEXIOT_SANITIZE=address,undefined, tests only, in
 #    RelWithDebInfo): any out-of-bounds access, use-after-free, leak or
@@ -76,13 +77,13 @@ echo "==> [6/8] end-to-end benchmark smoke (digests at 1/nproc threads, traced)"
 python3 e2ebench/run.py --smoke
 echo "    every workload digest held across thread counts and tracing"
 
-echo "==> [7/8] TSAN pass (test_common + test_kernels + test_sparse + test_corpus_determinism + test_runtime + test_scale + test_serving + test_explain)"
+echo "==> [7/8] TSAN pass (test_common + test_kernels + test_sparse + test_corpus_determinism + test_runtime + test_scale + test_serving + test_explain + test_fusion)"
 cmake -B "${TSAN_DIR}" -S . \
   -DFEXIOT_SANITIZE=thread \
   -DFEXIOT_BUILD_BENCHMARKS=OFF \
   -DFEXIOT_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "${TSAN_DIR}" -j "${JOBS}" \
-  --target test_common test_kernels test_sparse test_corpus_determinism test_runtime test_scale test_serving test_explain
+  --target test_common test_kernels test_sparse test_corpus_determinism test_runtime test_scale test_serving test_explain test_fusion
 "${TSAN_DIR}/tests/test_common"
 "${TSAN_DIR}/tests/test_kernels"
 FEXIOT_THREADS=4 "${TSAN_DIR}/tests/test_sparse"
@@ -91,6 +92,7 @@ FEXIOT_THREADS=4 "${TSAN_DIR}/tests/test_runtime"
 FEXIOT_THREADS=4 "${TSAN_DIR}/tests/test_scale"
 FEXIOT_THREADS=4 "${TSAN_DIR}/tests/test_serving"
 FEXIOT_THREADS=4 "${TSAN_DIR}/tests/test_explain"
+FEXIOT_THREADS=4 "${TSAN_DIR}/tests/test_fusion"
 
 echo "==> [8/8] ASan+UBSan pass (full tier-1 suite, ${ASAN_DIR})"
 cmake -B "${ASAN_DIR}" -S . \

@@ -42,18 +42,15 @@ Status FexIoT::FitHeadAndDrift(const GraphDataset& local) {
 
 InteractionGraph FexIoT::Fuse(const Home& home,
                               const EventLog& raw_log) const {
-  const EventLog cleaned = raw_log.Cleaned();
-  OnlineGraphBuilder builder(home);
-  InteractionGraph g = builder.Build(cleaned);
+  // Build cleans the raw log as it mines it.
+  InteractionGraph g = OnlineGraphBuilder(home).Build(raw_log);
   // Label from the checker (internal vulnerabilities only; external attack
   // labels come from ground truth the caller holds).
-  if (VulnerabilityChecker::IsVulnerable(g)) {
+  const auto findings = VulnerabilityChecker::Check(g);
+  if (!findings.empty()) {
     g.set_label(1);
-    const auto findings = VulnerabilityChecker::Check(g);
-    if (!findings.empty()) {
-      g.set_vulnerability(findings.front().type);
-      g.set_witness(findings.front().witness_nodes);
-    }
+    g.set_vulnerability(findings.front().type);
+    g.set_witness(findings.front().witness_nodes);
   }
   return g;
 }

@@ -51,7 +51,9 @@ class FexIoT {
   Status AdoptModel(const GnnModel& model, const GraphDataset& local);
 
   /// \brief Fuses a raw event log with a home's deployed rules into an
-  /// online interaction graph (cleans the log first).
+  /// online interaction graph (OnlineGraphBuilder::Build, which cleans as
+  /// it mines), labelled 1 with the checker's first finding when
+  /// VulnerabilityChecker::Check finds any.
   InteractionGraph Fuse(const Home& home, const EventLog& raw_log) const;
 
   /// Probability the interaction graph is vulnerable (0 for a graph with

@@ -22,6 +22,12 @@ namespace fexiot {
 ///    preceded by a matching command record;
 ///  - effect consistency: fraction of the rule's command records followed
 ///    by the commanded state change.
+///
+/// Build cleans and mines in one pass (DESIGN.md §5.14): it runs
+/// EventLog::ForEachCleaned once, indexes the kept records per device
+/// type without copying a string, and takes each node's text features
+/// (RuleTextEmbedding) from a process-wide memo keyed by the rule's text.
+/// Thread-safe: concurrent Builds share only that memo, behind a lock.
 class OnlineGraphBuilder {
  public:
   struct Options {
@@ -36,10 +42,18 @@ class OnlineGraphBuilder {
   OnlineGraphBuilder(const Home& home, Options options)
       : home_(home), options_(options) {}
 
-  /// \brief Builds one online interaction graph from a cleaned log.
+  /// \brief Builds one online interaction graph from a raw or a cleaned
+  /// log: it cleans as it goes, and cleaning is idempotent, so
+  /// Build(log) equals Build(log.Cleaned()) bit for bit.
   /// Nodes are rules observed firing at least once; label is left 0 (the
   /// caller sets it from attack ground truth / the checker).
-  InteractionGraph Build(const EventLog& cleaned_log) const;
+  InteractionGraph Build(const EventLog& log) const;
+
+  /// Capacity of the process-wide text-feature memo: distinct rule texts
+  /// past it are embedded on every Build instead of being held.
+  static constexpr size_t kTextMemoCapacity = 4096;
+  /// Rule texts the memo holds now (for tests). Only Build fills it.
+  static size_t TextMemoSize();
 
  private:
   const Home& home_;

@@ -332,13 +332,26 @@ int PlatformFeatureDim(Platform platform) {
   }
 }
 
-std::vector<double> ComputeNodeFeatures(const Rule& rule, double event_time) {
-  std::vector<double> base;
+std::vector<double> RuleTextEmbedding(const Rule& rule) {
   if (PlatformFeatureDim(rule.platform) == kHeteroFeatureDim) {
-    base = SentenceEncoder::Encode(rule.description);
-  } else {
-    base = TriggerActionPairEmbedding(rule.trigger_text, rule.action_text);
+    return SentenceEncoder::Encode(rule.description);
   }
+  return TriggerActionPairEmbedding(rule.trigger_text, rule.action_text);
+}
+
+void SetTimeOfDayDims(double event_time, std::vector<double>* features) {
+  std::vector<double>& f = *features;
+  double sin_dim = 0.0, cos_dim = 0.0;
+  if (event_time >= 0.0) {
+    const double day_frac = std::fmod(event_time, 86400.0) / 86400.0;
+    sin_dim = std::sin(2.0 * M_PI * day_frac);
+    cos_dim = std::cos(2.0 * M_PI * day_frac);
+  }
+  f[f.size() - 4] = sin_dim;
+  f[f.size() - 3] = cos_dim;
+}
+
+std::vector<double> ComputeNodeFeatures(const Rule& rule, double event_time) {
   // Append the extra dims: 4 relational slots (filled by
   // AugmentRelationalFeatures) then 4 time/consistency dims — sin/cos of
   // time-of-day plus two causal-consistency slots (see graph/fusion.h).
@@ -346,13 +359,9 @@ std::vector<double> ComputeNodeFeatures(const Rule& rule, double event_time) {
   // consistency (0 = consistent, more negative = more tampering evidence)
   // so the few anomaly dims carry weight against the ~300 text dims in
   // embedding distances; offline graphs keep all four at zero.
-  std::vector<double> out = std::move(base);
+  std::vector<double> out = RuleTextEmbedding(rule);
   out.resize(out.size() + kExtraFeatureDims, 0.0);
-  if (event_time >= 0.0) {
-    const double day_frac = std::fmod(event_time, 86400.0) / 86400.0;
-    out[out.size() - 4] = std::sin(2.0 * M_PI * day_frac);
-    out[out.size() - 3] = std::cos(2.0 * M_PI * day_frac);
-  }
+  SetTimeOfDayDims(event_time, &out);
   return out;
 }
 

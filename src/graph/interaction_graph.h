@@ -138,6 +138,17 @@ class InteractionGraph {
 /// until AugmentRelationalFeatures fills them.
 std::vector<double> ComputeNodeFeatures(const Rule& rule, double event_time);
 
+/// \brief The text half of ComputeNodeFeatures: the Eq. 1 pair embedding
+/// of the rule's trigger and action texts (word platforms) or the
+/// sentence embedding of its description (voice platforms). A pure
+/// function of that text and the platform's feature space.
+std::vector<double> RuleTextEmbedding(const Rule& rule);
+
+/// \brief Overwrites the two time-of-day dims of a full node feature
+/// vector as ComputeNodeFeatures sets them for \p event_time (zeros when
+/// it is negative).
+void SetTimeOfDayDims(double event_time, std::vector<double>* features);
+
 /// \brief Fills each node's 4 relational feature dims from the parsed
 /// trigger-action structures of its graph neighborhood:
 ///   r0: max action-device overlap with any sibling (co-triggered rule);

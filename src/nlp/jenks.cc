@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 
 namespace fexiot {
@@ -10,6 +11,12 @@ std::vector<double> JenksBreaks::Compute(std::vector<double> values,
                                          int num_classes) {
   assert(num_classes >= 1);
   assert(values.size() >= static_cast<size_t>(num_classes));
+  // Refuse what the dynamic program cannot split: a NaN (which std::sort
+  // cannot order either) or an infinity here, and below, finite values
+  // whose sums overflow.
+  for (double v : values) {
+    if (!std::isfinite(v)) return {};
+  }
   std::sort(values.begin(), values.end());
   const int n = static_cast<int>(values.size());
   const int k = num_classes;
@@ -20,6 +27,9 @@ std::vector<double> JenksBreaks::Compute(std::vector<double> values,
     pre[i + 1] = pre[i] + values[i];
     pre2[i + 1] = pre2[i] + values[i] * values[i];
   }
+  // Over finite values an overflowed running sum stays infinite to the
+  // end, so checking the totals covers every prefix.
+  if (!std::isfinite(pre[n]) || !std::isfinite(pre2[n])) return {};
   auto ssd = [&](int lo, int hi) {  // sum of squared deviations, [lo, hi)
     const int cnt = hi - lo;
     if (cnt <= 0) return 0.0;

@@ -15,7 +15,10 @@ class JenksBreaks {
  public:
   /// Computes \p num_classes - 1 interior break values for \p values.
   /// Returns the full boundary list (num_classes + 1 values including min
-  /// and max). Requires values.size() >= num_classes >= 1.
+  /// and max). Requires values.size() >= num_classes >= 1. Refuses (returns
+  /// an empty list) values whose sums or sums of squares are not finite:
+  /// a NaN or infinite value, or one so large its square overflows, would
+  /// leave the dynamic program without a split.
   static std::vector<double> Compute(std::vector<double> values,
                                      int num_classes);
 

@@ -178,11 +178,10 @@ void StreamingDetectionEngine::SyncEdgesFor(HomeState* hs, int r) {
 void StreamingDetectionEngine::RefreshNodeFeatures(HomeState* hs, int r,
                                                    double fire_time) {
   GraphNode& node = hs->graph.mutable_node(r);
-  std::vector<double> f = ComputeNodeFeatures(node.rule, fire_time);
-  // ComputeNodeFeatures zeroes the relational dims; carry the current
-  // augmentation over so a firing doesn't erase structural features.
-  const size_t base = f.size() - static_cast<size_t>(kExtraFeatureDims);
-  for (size_t k = 0; k < 4; ++k) f[base + k] = node.features[base + k];
+  // The text dims were set in AddHome and the relational dims belong to
+  // the augmentation: a firing moves only the time and consistency dims.
+  std::vector<double>& f = node.features;
+  SetTimeOfDayDims(fire_time, &f);
   const RuleStats& rs = hs->rules[static_cast<size_t>(r)];
   const double cmd_c =
       rs.command_total > 0 ? static_cast<double>(rs.command_hits) /
@@ -196,7 +195,6 @@ void StreamingDetectionEngine::RefreshNodeFeatures(HomeState* hs, int r,
       kConsistencyScale * (cmd_c - 1.0);
   f[f.size() - static_cast<size_t>(kFeatureDimEffectConsistency)] =
       kConsistencyScale * (eff_c - 1.0);
-  node.features = std::move(f);
   node.event_time = fire_time;
   hs->input_dirty = true;
 }

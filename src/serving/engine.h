@@ -187,8 +187,8 @@ class StreamingDetectionEngine {
   void CompleteFiring(HomeState* hs, int r, const TriggerCandidate& cand);
   /// Adds/removes rule \p r's edges after an activation flip.
   void SyncEdgesFor(HomeState* hs, int r);
-  /// Refreshes node \p r's feature vector; the prepared input follows at
-  /// the next snapshot.
+  /// Refreshes node \p r's time and consistency dims; the prepared input
+  /// follows at the next snapshot.
   void RefreshNodeFeatures(HomeState* hs, int r, double fire_time);
   /// Re-runs relational augmentation if edges changed, refills the
   /// prepared input if features or edges changed, and performs the

@@ -1,8 +1,10 @@
 #include "smarthome/event_log.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <map>
+#include <unordered_map>
 
 #include "nlp/jenks.h"
 
@@ -47,49 +49,79 @@ void EventLog::SortByTime() {
                    });
 }
 
-EventLog EventLog::Cleaned() const {
-  // Pass 1: collect numeric readings per device to fit Jenks breaks.
+namespace {
+
+/// A reading with a logical value to give: numeric and finite.
+bool IsFiniteReading(const LogEntry& e) {
+  return e.kind == LogKind::kSensorReading && e.numeric_value.has_value() &&
+         std::isfinite(*e.numeric_value);
+}
+
+/// The two-class Jenks label of class \p cls, as a static string.
+const std::string& ClassLabel(int cls) {
+  static const std::string kLabels[2] = {JenksBreaks::ClassLabel(0, 2),
+                                         JenksBreaks::ClassLabel(1, 2)};
+  return kLabels[cls == 0 ? 0 : 1];
+}
+
+}  // namespace
+
+void EventLog::ForEachCleaned(
+    const std::function<void(const CleanedEntry&)>& keep) const {
+  // Jenks breaks per device id over its finite readings; a device with
+  // fewer than 4 of them (or ones Compute refuses) has none.
   std::map<int, std::vector<double>> numeric_by_device;
   for (const auto& e : entries_) {
-    if (e.kind == LogKind::kSensorReading && e.numeric_value.has_value()) {
+    if (IsFiniteReading(e)) {
       numeric_by_device[e.device_id].push_back(*e.numeric_value);
     }
   }
   std::map<int, std::vector<double>> breaks_by_device;
   for (auto& [id, values] : numeric_by_device) {
-    if (values.size() >= 4) {
-      breaks_by_device[id] = JenksBreaks::Compute(values, /*num_classes=*/2);
-    }
+    if (values.size() < 4) continue;
+    std::vector<double> breaks =
+        JenksBreaks::Compute(std::move(values), /*num_classes=*/2);
+    if (!breaks.empty()) breaks_by_device.emplace(id, std::move(breaks));
   }
 
-  // Pass 2: rewrite entries.
-  EventLog out;
-  std::map<int, std::string> last_value;  // per device, last logical value
+  // Per device id, the last kept state change's logical value.
+  std::unordered_map<int, const std::string*> last_value;
   for (const auto& e : entries_) {
     if (e.kind == LogKind::kExecutionError) continue;  // noise
-    LogEntry rewritten = e;
+    CleanedEntry c{&e, e.kind, &e.value};
     if (e.kind == LogKind::kSensorReading) {
-      if (!e.numeric_value.has_value()) continue;
-      auto it = breaks_by_device.find(e.device_id);
+      if (!IsFiniteReading(e)) continue;  // no logical value
+      const auto it = breaks_by_device.find(e.device_id);
       if (it == breaks_by_device.end()) continue;
-      const int cls = JenksBreaks::Classify(*e.numeric_value, it->second);
-      rewritten.value = JenksBreaks::ClassLabel(cls, 2);
-      rewritten.numeric_value.reset();
-      rewritten.kind = LogKind::kStateChange;
+      c.value = &ClassLabel(JenksBreaks::Classify(*e.numeric_value, it->second));
+      c.kind = LogKind::kStateChange;
     }
     // Drop repetitive readings: consecutive identical logical values for
     // the same device do not change state. Only state changes participate
     // in the dedup — a command for a value must not swallow the state
     // change that realizes it.
-    if (rewritten.kind == LogKind::kStateChange) {
-      auto last = last_value.find(rewritten.device_id);
-      if (last != last_value.end() && last->second == rewritten.value) {
-        continue;
+    if (c.kind == LogKind::kStateChange) {
+      const auto [last, first] = last_value.try_emplace(e.device_id, c.value);
+      if (!first) {
+        if (*last->second == *c.value) continue;
+        last->second = c.value;
       }
-      last_value[rewritten.device_id] = rewritten.value;
     }
-    out.Append(std::move(rewritten));
+    keep(c);
   }
+}
+
+EventLog EventLog::Cleaned() const {
+  EventLog out;
+  ForEachCleaned([&out](const CleanedEntry& c) {
+    LogEntry e = *c.entry;
+    if (e.kind == LogKind::kSensorReading) {
+      e.value = *c.value;
+      e.numeric_value.reset();
+      e.kind = LogKind::kStateChange;
+    }
+    out.Append(std::move(e));
+  });
   return out;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -36,6 +37,16 @@ struct LogEntry {
   std::string ToString() const;
 };
 
+/// \brief One entry as the cleaned log keeps it (Section III-A2): the raw
+/// entry with its cleaned kind and logical value. For a numeric reading
+/// the kind is kStateChange and the value its Jenks class label ("low" or
+/// "high", a static string); otherwise both are the entry's own.
+struct CleanedEntry {
+  const LogEntry* entry = nullptr;
+  LogKind kind = LogKind::kStateChange;
+  const std::string* value = nullptr;
+};
+
 /// \brief An ordered event log plus cleaning utilities (Section III-A2).
 class EventLog {
  public:
@@ -54,8 +65,23 @@ class EventLog {
   /// and execution errors that do not change device state, and converts
   /// numeric readings into logical values ("low"/"high") with Jenks natural
   /// breaks computed per numeric device. Returns the cleaned log; the
-  /// original is untouched.
+  /// original is untouched. Built on ForEachCleaned.
   EventLog Cleaned() const;
+
+  /// \brief The cleaning rules as one pass that copies nothing: calls
+  /// \p keep for every entry Cleaned() keeps, in log order, with the
+  /// entry's cleaned kind and value (pointers into this log or to static
+  /// labels). The rules, per device id:
+  ///  - execution errors are dropped;
+  ///  - a numeric reading is dropped unless it is finite and its device
+  ///    has at least 4 finite readings with two-class Jenks breaks
+  ///    (JenksBreaks::Compute may refuse them), which turn it into a
+  ///    "low"/"high" state change;
+  ///  - a state change repeating the device's last kept value is dropped.
+  /// Cleaning is idempotent: a cleaned log has no errors or readings and
+  /// no repeats, so this pass keeps all of it.
+  void ForEachCleaned(
+      const std::function<void(const CleanedEntry&)>& keep) const;
 
   /// \brief Sorts entries by timestamp (stable).
   void SortByTime();

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "nlp/dtw.h"
 #include "nlp/embeddings.h"
@@ -176,6 +177,19 @@ TEST(Jenks, ThreeClasses) {
   EXPECT_EQ(JenksBreaks::Classify(2.0, bounds), 0);
   EXPECT_EQ(JenksBreaks::Classify(51.0, bounds), 1);
   EXPECT_EQ(JenksBreaks::Classify(100.0, bounds), 2);
+}
+
+TEST(Jenks, RefusesValuesItCannotSplit) {
+  // A NaN or infinite value left the dynamic program without a split, and
+  // recovering the breaks then read values[-1]; so did finite values whose
+  // squares overflow.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(JenksBreaks::Compute({20, 21, 22, inf}, 2).empty());
+  EXPECT_TRUE(JenksBreaks::Compute({20, 21, nan, 22}, 2).empty());
+  EXPECT_TRUE(JenksBreaks::Compute({-inf, 20, 21, 22}, 2).empty());
+  EXPECT_TRUE(JenksBreaks::Compute({1e200, 2e200, 3e200, 4e200}, 2).empty());
+  EXPECT_EQ(JenksBreaks::Compute({20, 21, 22, 23}, 2).size(), 3u);
 }
 
 TEST(RuleFeatures, DimensionalityMatchesNames) {

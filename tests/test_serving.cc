@@ -613,6 +613,42 @@ TEST(ServingEngine, FinalPreparedMatchesRebuildBitwise) {
   }
 }
 
+TEST(ServingEngine, FiredNodeFeaturesFollowComputeNodeFeatures) {
+  // A firing rewrites only a node's time and consistency dims: every dim
+  // outside the relational and consistency slots equals
+  // ComputeNodeFeatures at the node's last firing.
+  const std::vector<ServedHome>& world = ServingWorld();
+  GnnConfig gc;
+  const GnnModel model(gc);
+  StreamingDetectionEngine engine(&model, ServingConfig{});
+  int fired = 0;
+  for (int h = 0; h < 3; ++h) {
+    ASSERT_TRUE(engine.AddHome(h, world[static_cast<size_t>(h)].home).ok());
+    for (const LogEntry& e : world[static_cast<size_t>(h)].log) {
+      ASSERT_TRUE(engine.Ingest(h, e).ok());
+    }
+    const InteractionGraph* g = engine.graph(h);
+    ASSERT_NE(g, nullptr);
+    for (int v = 0; v < g->num_nodes(); ++v) {
+      const GraphNode& node = g->node(v);
+      fired += node.event_time >= 0.0;
+      const std::vector<double> want =
+          ComputeNodeFeatures(node.rule, node.event_time);
+      ASSERT_EQ(want.size(), node.features.size());
+      const size_t relational = want.size() - kExtraFeatureDims;
+      const size_t consistency = want.size() - 2;
+      for (size_t k = 0; k < want.size(); ++k) {
+        if ((k >= relational && k < relational + 4) || k >= consistency) {
+          continue;
+        }
+        EXPECT_TRUE(BitsEqual({want[k]}, {node.features[k]}))
+            << "home " << h << " node " << v << " dim " << k;
+      }
+    }
+  }
+  EXPECT_GT(fired, 0);
+}
+
 TEST(ServingEngine, ChurnThresholdTriggersRebuilds) {
   // A tiny churn budget forces the compaction path; results must not
   // change (pinned globally by BatchedBitIdenticalToSequential +

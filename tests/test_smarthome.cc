@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "smarthome/attacks.h"
@@ -207,6 +208,35 @@ TEST(EventLog, CleaningConvertsNumericWithJenks) {
   for (const auto& e : cleaned.entries()) {
     EXPECT_FALSE(e.numeric_value.has_value());
   }
+}
+
+TEST(EventLog, CleaningDropsNonFiniteReadings) {
+  // Readings {20, 21, 22, inf} on one device and {18, NaN, 19, 30, 31} on
+  // another: non-finite readings carry no logical value, so the first
+  // device is left with too few readings to classify and the second with
+  // four finite ones.
+  EventLog log;
+  auto reading = [&log](int device_id, double t, double v) {
+    LogEntry e;
+    e.timestamp = t;
+    e.device_id = device_id;
+    e.device = DeviceType::kTemperatureSensor;
+    e.attribute = "temperature";
+    e.numeric_value = v;
+    e.kind = LogKind::kSensorReading;
+    log.Append(e);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  int t = 0;
+  for (double v : {20.0, 21.0, 22.0, inf}) reading(1, t++, v);
+  for (double v : {18.0, nan, 19.0, 30.0, 31.0}) reading(2, t++, v);
+  const EventLog cleaned = log.Cleaned();
+  ASSERT_EQ(cleaned.size(), 2u);
+  EXPECT_EQ(cleaned.entries()[0].device_id, 2);
+  EXPECT_EQ(cleaned.entries()[0].value, "low");
+  EXPECT_EQ(cleaned.entries()[1].value, "high");
+  EXPECT_EQ(cleaned.entries()[1].timestamp, 7.0);
 }
 
 class AttackInjectionTest : public ::testing::TestWithParam<AttackType> {};
