@@ -7,13 +7,15 @@
 # CSR propagation engine against the dense test oracle
 # (tests/dense_oracle.h). On top of the suite this script runs:
 #  - the bit-for-bit contracts without FMA contraction: a
-#    -DFEXIOT_NATIVE=OFF build (tests only) of test_kernels, test_sparse
-#    and test_explain, where ops.cc compiles `c += a*b` as a separate
-#    multiply and add. The default -march=native build fuses both the
-#    kernel and ReferenceMatMul into FMAs. In both builds the kernel must
-#    equal its oracle, and the explanation scorer's cached first-layer
-#    rows, which rely on SpMM and the kernel computing every output row
-#    on its own, must reproduce the induced-subgraph forward;
+#    -DFEXIOT_NATIVE=OFF build (tests only) of test_kernels, test_sparse,
+#    test_explain and test_serving, where ops.cc compiles `c += a*b` as a
+#    separate multiply and add. The default -march=native build fuses
+#    both the kernel and ReferenceMatMul into FMAs. In both builds the
+#    kernel must equal its oracle; the explanation scorer's cached
+#    first-layer rows, which rely on SpMM and the kernel computing every
+#    output row on its own, must reproduce the induced-subgraph forward;
+#    and the serving engine's batched embeddings must equal its
+#    one-at-a-time ones, and every snapshot a from-scratch PrepareGraph;
 #  - the lazy-state scale smokes on the event runtime: 100k and 1M
 #    clients on a 4-thread pool, each with peak RSS below 32 MB (the
 #    runtime allocates by the cohort, not the fleet);
@@ -52,16 +54,17 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}"
 echo "==> [2/8] full test suite"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
-echo "==> [3/8] kernel oracle and explanation row cache without FMA contraction (${PORTABLE_DIR})"
+echo "==> [3/8] kernel oracle, explanation row cache and serving parity without FMA contraction (${PORTABLE_DIR})"
 cmake -B "${PORTABLE_DIR}" -S . \
   -DFEXIOT_NATIVE=OFF \
   -DFEXIOT_BUILD_BENCHMARKS=OFF \
   -DFEXIOT_BUILD_EXAMPLES=OFF >/dev/null
-cmake --build "${PORTABLE_DIR}" -j "${JOBS}" --target test_kernels test_sparse test_explain
+cmake --build "${PORTABLE_DIR}" -j "${JOBS}" --target test_kernels test_sparse test_explain test_serving
 "${PORTABLE_DIR}/tests/test_kernels" --gtest_brief=1 >/dev/null
 "${PORTABLE_DIR}/tests/test_sparse" --gtest_brief=1 >/dev/null
 "${PORTABLE_DIR}/tests/test_explain" --gtest_brief=1 >/dev/null
-echo "    the kernel equals the Reference* oracle and cached-row scores equal the induced-subgraph forward, bit for bit in both build modes"
+"${PORTABLE_DIR}/tests/test_serving" --gtest_brief=1 >/dev/null
+echo "    the kernel equals the Reference* oracle, cached-row scores equal the induced-subgraph forward, and batched serving equals one-at-a-time and PrepareGraph, bit for bit in both build modes"
 
 echo "==> [4/8] scale smoke (100k and 1M clients on the runtime, RSS bounds)"
 FEXIOT_SLOW_TESTS=1 "${BUILD_DIR}/tests/test_scale" \
@@ -104,4 +107,4 @@ cmake --build "${ASAN_DIR}" -j "${JOBS}"
 ctest --test-dir "${ASAN_DIR}" --output-on-failure -j "${JOBS}"
 echo "    no memory error, leak or undefined behaviour in the suite"
 
-echo "OK: tier-1 suite green (determinism pinned in-process), dense kernel and explanation row cache exact in both build modes, TSAN and ASan+UBSan clean"
+echo "OK: tier-1 suite green (determinism pinned in-process), dense kernel, explanation row cache and serving parity exact in both build modes, TSAN and ASan+UBSan clean"

@@ -10,16 +10,12 @@ const char* StatusCodeToString(StatusCode code) {
       return "InvalidArgument";
     case StatusCode::kNotFound:
       return "NotFound";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
     case StatusCode::kAlreadyExists:
       return "AlreadyExists";
     case StatusCode::kFailedPrecondition:
       return "FailedPrecondition";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kNotImplemented:
-      return "NotImplemented";
     case StatusCode::kIOError:
       return "IOError";
   }

@@ -23,43 +23,6 @@ const char* GnnTypeName(GnnType type) {
 
 namespace {
 
-/// Builds the CSR propagation matrix straight from the edge list —
-/// O(n + e log e), never densifying an n x n matrix. Values are
-/// bit-identical to the dense build (tests/dense_oracle.h): GCN degrees
-/// are exact small-integer doubles either way, and each entry is the
-/// one-rounding product GcnPropagationValue(dinv[i], dinv[j]) (GIN
-/// entries are exactly 1.0).
-CsrMatrix BuildPropagationCsr(const InteractionGraph& g, bool gin) {
-  const size_t n = static_cast<size_t>(g.num_nodes());
-  // Undirected skeleton with self loops, deduplicated and column-sorted.
-  std::vector<std::vector<int>> adj(n);
-  for (const auto& [u, v] : g.edges()) {
-    adj[static_cast<size_t>(u)].push_back(v);
-    adj[static_cast<size_t>(v)].push_back(u);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    adj[i].push_back(static_cast<int>(i));
-    std::sort(adj[i].begin(), adj[i].end());
-    adj[i].erase(std::unique(adj[i].begin(), adj[i].end()), adj[i].end());
-  }
-  std::vector<double> dinv;
-  if (!gin) {
-    dinv.resize(n);
-    for (size_t i = 0; i < n; ++i) dinv[i] = GcnDegreeScale(adj[i].size());
-  }
-  std::vector<std::vector<std::pair<int, double>>> rows(n);
-  for (size_t i = 0; i < n; ++i) {
-    rows[i].reserve(adj[i].size());
-    for (int j : adj[i]) {
-      const double v =
-          gin ? 1.0
-              : GcnPropagationValue(dinv[i], dinv[static_cast<size_t>(j)]);
-      rows[i].emplace_back(j, v);
-    }
-  }
-  return CsrMatrix::FromRowLists(n, n, rows);
-}
-
 /// [mean | max] pooling over rows [r0, r1) of \p hf into \p pooled
 /// (2 * hf.cols() doubles). \p argmax, when non-null, records the
 /// absolute row index of each column max. Shared by the per-graph
@@ -93,6 +56,37 @@ void PoolMeanMaxRows(const Matrix& hf, size_t r0, size_t r1, double* pooled,
 }
 
 }  // namespace
+
+CsrMatrix BuildPropagationCsr(const InteractionGraph& g, bool gin) {
+  const size_t n = static_cast<size_t>(g.num_nodes());
+  // Undirected skeleton with self loops, deduplicated and column-sorted.
+  std::vector<std::vector<int>> adj(n);
+  for (const auto& [u, v] : g.edges()) {
+    adj[static_cast<size_t>(u)].push_back(v);
+    adj[static_cast<size_t>(v)].push_back(u);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    adj[i].push_back(static_cast<int>(i));
+    std::sort(adj[i].begin(), adj[i].end());
+    adj[i].erase(std::unique(adj[i].begin(), adj[i].end()), adj[i].end());
+  }
+  std::vector<double> dinv;
+  if (!gin) {
+    dinv.resize(n);
+    for (size_t i = 0; i < n; ++i) dinv[i] = GcnDegreeScale(adj[i].size());
+  }
+  std::vector<std::vector<std::pair<int, double>>> rows(n);
+  for (size_t i = 0; i < n; ++i) {
+    rows[i].reserve(adj[i].size());
+    for (int j : adj[i]) {
+      const double v =
+          gin ? 1.0
+              : GcnPropagationValue(dinv[i], dinv[static_cast<size_t>(j)]);
+      rows[i].emplace_back(j, v);
+    }
+  }
+  return CsrMatrix::FromRowLists(n, n, rows);
+}
 
 double GcnDegreeScale(size_t closed_degree) {
   const double deg = static_cast<double>(closed_degree);

@@ -79,6 +79,15 @@ struct PreparedGraph {
 /// appropriate to the architecture, then the input via FillPreparedInput).
 PreparedGraph PrepareGraph(const InteractionGraph& g, const GnnConfig& config);
 
+/// \brief The propagation matrix of \p g, built straight from its edge
+/// list in O(n + e log e) without densifying: the symmetrized adjacency
+/// with self loops, one entry per undirected pair, columns ascending.
+/// Entries are exactly 1.0 for GIN (\p gin) and otherwise the one-rounding
+/// product GcnPropagationValue(dinv[i], dinv[j]), bit-identical to the
+/// dense build (tests/dense_oracle.h). The one builder: PrepareGraph and
+/// the serving engine's snapshot of a home whose edges changed.
+CsrMatrix BuildPropagationCsr(const InteractionGraph& g, bool gin);
+
 /// \brief (Re)builds \p p's node_space, features_hetero and input from
 /// \p g's node features under the padding and input contracts above.
 /// For GCN/GIN, p->prop_csr must already describe \p g's edges, and X is

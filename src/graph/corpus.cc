@@ -18,13 +18,6 @@ GraphCorpusGenerator::GraphCorpusGenerator(CorpusOptions options, Rng* rng)
   for (Platform p : options_.platforms) generators_.emplace_back(p, rng);
 }
 
-RuleGenerator* GraphCorpusGenerator::GeneratorFor(Platform p) {
-  for (auto& g : generators_) {
-    if (g.platform() == p) return &g;
-  }
-  return &generators_.front();
-}
-
 RuleGenerator* GraphCorpusGenerator::RandomGenerator() {
   return &generators_[rng_->UniformInt(generators_.size())];
 }

@@ -82,7 +82,6 @@ class GraphCorpusGenerator {
   std::vector<int> InjectVulnerability(InteractionGraph* g,
                                        VulnerabilityType type);
 
-  RuleGenerator* GeneratorFor(Platform p);
   RuleGenerator* RandomGenerator();
 
   CorpusOptions options_;

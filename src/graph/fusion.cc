@@ -112,9 +112,9 @@ class DeviceTimelines {
   std::vector<Record> records_;
 };
 
-/// The window test of the mining: !(t < lo || t > hi), so a NaN time (or
-/// bound) counts as inside, as it always has.
-bool InWindow(double t, double lo, double hi) { return !(t < lo || t > hi); }
+/// The window test of the mining, inclusive at both ends. Cleaning drops
+/// entries with a non-finite time, so every time and bound is finite.
+bool InWindow(double t, double lo, double hi) { return lo <= t && t <= hi; }
 
 bool AnyInWindow(const std::vector<double>& times, double lo, double hi) {
   for (double t : times) {
@@ -181,7 +181,7 @@ InteractionGraph OnlineGraphBuilder::Build(const EventLog& log) const {
       bool all_actions = true;
       for (size_t k = 0; k < rule.actions.size() && all_actions; ++k) {
         all_actions =
-            AnyInWindow(actions[k].effects, t, t + options_.firing_window);
+            AnyInWindow(actions[k].effects, t, t + kFiringWindowS);
       }
       if (!all_actions) continue;
       ++fires;
@@ -189,8 +189,8 @@ InteractionGraph OnlineGraphBuilder::Build(const EventLog& log) const {
       // Consistency mining around this firing.
       for (size_t k = 0; k < rule.actions.size(); ++k) {
         ++command_total;
-        if (AnyInWindow(actions[k].commands, t - options_.consistency_window,
-                        t + options_.firing_window)) {
+        if (AnyInWindow(actions[k].commands, t - kConsistencyWindowS,
+                        t + kFiringWindowS)) {
           ++command_hits;
         }
       }
@@ -203,7 +203,7 @@ InteractionGraph OnlineGraphBuilder::Build(const EventLog& log) const {
       for (double c : actions[k].commands) {
         ++effect_total;
         if (AnyInWindow(actions[k].effects, c,
-                        c + options_.consistency_window)) {
+                        c + kConsistencyWindowS)) {
           ++effect_hits;
         }
       }

@@ -30,17 +30,7 @@ namespace fexiot {
 /// Thread-safe: concurrent Builds share only that memo, behind a lock.
 class OnlineGraphBuilder {
  public:
-  struct Options {
-    /// Max delay between a trigger event and the rule's action effect.
-    double firing_window = 10.0;
-    /// Matching window for command <-> state-change consistency.
-    double consistency_window = 5.0;
-  };
-
-  explicit OnlineGraphBuilder(const Home& home)
-      : OnlineGraphBuilder(home, Options()) {}
-  OnlineGraphBuilder(const Home& home, Options options)
-      : home_(home), options_(options) {}
+  explicit OnlineGraphBuilder(const Home& home) : home_(home) {}
 
   /// \brief Builds one online interaction graph from a raw or a cleaned
   /// log: it cleans as it goes, and cleaning is idempotent, so
@@ -57,8 +47,15 @@ class OnlineGraphBuilder {
 
  private:
   const Home& home_;
-  Options options_;
 };
+
+/// Mining windows, in seconds, shared by OnlineGraphBuilder and the
+/// streaming engine (serving/engine.h): a rule fires when each of its
+/// action states follows its trigger within kFiringWindowS (inclusive),
+/// and a command and a state change of the same value match within
+/// kConsistencyWindowS.
+constexpr double kFiringWindowS = 10.0;
+constexpr double kConsistencyWindowS = 5.0;
 
 /// Index (from the back of a feature vector) of the command-consistency
 /// slot and the effect-consistency slot. The slots hold

@@ -57,11 +57,4 @@ double DtwDistance(const std::vector<std::vector<double>>& a,
   });
 }
 
-double DtwDistanceScalar(const std::vector<double>& a,
-                         const std::vector<double>& b) {
-  return DtwImpl(a.size(), b.size(), [&](size_t i, size_t j) {
-    return std::fabs(a[i] - b[j]);
-  });
-}
-
 }  // namespace fexiot

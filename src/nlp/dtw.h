@@ -15,9 +15,4 @@ namespace fexiot {
 double DtwDistance(const std::vector<std::vector<double>>& a,
                    const std::vector<std::vector<double>>& b);
 
-/// \brief DTW over scalar sequences with absolute-difference cost,
-/// normalized by path length.
-double DtwDistanceScalar(const std::vector<double>& a,
-                         const std::vector<double>& b);
-
 }  // namespace fexiot

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -28,20 +29,6 @@ Status ValidateServingConfig(const ServingConfig& config) {
   }
   if (config.max_linger_s < 0.0) {
     return Status::InvalidArgument("serving: max_linger_s must be >= 0");
-  }
-  if (!(config.active_window_s > 0.0)) {
-    return Status::InvalidArgument("serving: active_window_s must be > 0");
-  }
-  if (!(config.firing_window_s > 0.0)) {
-    return Status::InvalidArgument("serving: firing_window_s must be > 0");
-  }
-  if (!(config.consistency_window_s > 0.0)) {
-    return Status::InvalidArgument(
-        "serving: consistency_window_s must be > 0");
-  }
-  if (!(config.rebuild_churn_fraction > 0.0)) {
-    return Status::InvalidArgument(
-        "serving: rebuild_churn_fraction must be > 0");
   }
   return Status::OK();
 }
@@ -76,11 +63,10 @@ Status StreamingDetectionEngine::AddHome(int home_id, const Home& home) {
   HomeState& hs = homes_.back();
   home_index_[home_id] = homes_.size() - 1;
   hs.home = home;
-  hs.delta = DeltaPropagation(model_->config().type == GnnType::kGin);
   const size_t n = home.rules.size();
   // Fixed node universe: every deployed rule is a node from day one
-  // (never-fired rules stay isolated self-loop-only nodes), so the CSR
-  // dimensions never change under churn and delta updates suffice.
+  // (never-fired rules stay isolated self-loop-only nodes), so churn only
+  // ever changes edges.
   for (const Rule& rule : home.rules) {
     GraphNode node;
     node.rule = rule;
@@ -106,30 +92,28 @@ void StreamingDetectionEngine::ExpireTo(HomeState* hs, double now) {
   // Trigger candidates: the action window [tt, tt + fw] is inclusive, so
   // a candidate only dies strictly after its window end.
   while (!hs->candidates.empty() &&
-         hs->candidates.front().trigger_time + config_.firing_window_s < now) {
+         hs->candidates.front().trigger_time + kFiringWindowS < now) {
     hs->candidates.pop_front();
   }
   // Effect checks: an unresolved command past its window is a consistency
   // miss (total incremented, no hit) — tampering's "stealthy command"
   // signature.
   while (!hs->effect_checks.empty() &&
-         hs->effect_checks.front().command_time + config_.consistency_window_s <
-             now) {
+         hs->effect_checks.front().command_time + kConsistencyWindowS < now) {
     ++hs->rules[static_cast<size_t>(hs->effect_checks.front().rule)]
           .effect_total;
     hs->effect_checks.pop_front();
   }
   // Command history only needs to reach back cw before the oldest
   // possible live trigger (itself at most fw old).
-  const double keep_after =
-      now - (config_.firing_window_s + config_.consistency_window_s);
+  const double keep_after = now - (kFiringWindowS + kConsistencyWindowS);
   while (!hs->command_log.empty() && hs->command_log.front().time < keep_after) {
     hs->command_log.pop_front();
   }
   // Rules age out of the active window; their edges go with them.
   for (size_t r = 0; r < hs->rules.size(); ++r) {
     RuleStats& rs = hs->rules[r];
-    if (rs.active && rs.last_fire + config_.active_window_s < now) {
+    if (rs.active && rs.last_fire + kActiveWindowS < now) {
       rs.active = false;
       SyncEdgesFor(hs, static_cast<int>(r));
     }
@@ -139,39 +123,33 @@ void StreamingDetectionEngine::ExpireTo(HomeState* hs, double now) {
 void StreamingDetectionEngine::SyncEdgesFor(HomeState* hs, int r) {
   const size_t n = hs->home.rules.size();
   const size_t ri = static_cast<size_t>(r);
-  const uint64_t structural_before = hs->delta.structural_updates();
-  const uint64_t reweight_before = hs->delta.reweighted_entries();
+  uint64_t toggled = 0;
   for (size_t j = 0; j < n; ++j) {
     if (j == ri) continue;
+    const int v = static_cast<int>(j);
     const bool both_active = hs->rules[ri].active && hs->rules[j].active;
-    const bool fwd = hs->related[ri * n + j];
-    const bool bwd = hs->related[j * n + ri];
-    // Directed graph edges mirror the offline builder exactly; the CSR
-    // stores one undirected pair whenever either direction is live,
-    // matching BuildPropagationCsr's symmetrization.
-    if (both_active && fwd) {
-      hs->graph.AddEdge(r, static_cast<int>(j));
+    const bool fwd = both_active && hs->related[ri * n + j];
+    const bool bwd = both_active && hs->related[j * n + ri];
+    // Directed graph edges mirror the offline builder exactly. The
+    // propagation matrix holds one undirected pair whenever either
+    // direction is live (BuildPropagationCsr's symmetrization): count the
+    // pairs whose presence flips.
+    const bool had = hs->graph.HasEdge(r, v) || hs->graph.HasEdge(v, r);
+    if (fwd) {
+      hs->graph.AddEdge(r, v);
     } else {
-      hs->graph.RemoveEdge(r, static_cast<int>(j));
+      hs->graph.RemoveEdge(r, v);
     }
-    if (both_active && bwd) {
-      hs->graph.AddEdge(static_cast<int>(j), r);
+    if (bwd) {
+      hs->graph.AddEdge(v, r);
     } else {
-      hs->graph.RemoveEdge(static_cast<int>(j), r);
+      hs->graph.RemoveEdge(v, r);
     }
-    if (both_active && (fwd || bwd)) {
-      hs->delta.InsertEdge(&hs->prepared.prop_csr, r, static_cast<int>(j));
-    } else {
-      hs->delta.RemoveEdge(&hs->prepared.prop_csr, r, static_cast<int>(j));
-    }
+    toggled += had != (fwd || bwd);
   }
-  const uint64_t toggled = hs->delta.structural_updates() - structural_before;
   if (toggled > 0) {
     hs->relational_dirty = true;
-    hs->churn_since_rebuild += toggled;
     stats_.incremental_updates += toggled;
-    stats_.reweighted_entries +=
-        hs->delta.reweighted_entries() - reweight_before;
   }
 }
 
@@ -215,7 +193,7 @@ void StreamingDetectionEngine::CompleteFiring(HomeState* hs, int r,
     ++rs.command_total;
     bool hit = false;
     for (const CommandRecord& c : hs->command_log) {
-      if (c.time < tt - config_.consistency_window_s) continue;
+      if (c.time < tt - kConsistencyWindowS) continue;
       if (c.device == a.device && c.value == a.state) {
         hit = true;
         break;
@@ -233,6 +211,11 @@ void StreamingDetectionEngine::CompleteFiring(HomeState* hs, int r,
 Status StreamingDetectionEngine::Ingest(int home_id, const LogEntry& entry) {
   HomeState* hs = Find(home_id);
   if (hs == nullptr) return Status::NotFound("serving: unknown home id");
+  // A NaN would pass the order check below and then never expire; an
+  // infinite time would reject every later entry as out of order.
+  if (!std::isfinite(entry.timestamp)) {
+    return Status::InvalidArgument("serving: timestamps must be finite");
+  }
   if (entry.timestamp < hs->clock) {
     return Status::InvalidArgument(
         "serving: per-home timestamps must be non-decreasing");
@@ -319,8 +302,14 @@ void StreamingDetectionEngine::PrepareForSnapshot(HomeState* hs) {
   if (hs->relational_dirty) {
     // Deterministic (noise-free) relational augmentation over the live
     // edge set: a structural change can flip relational dims anywhere in
-    // the neighborhood, and (GCN/GIN) changes P X outright.
+    // the neighborhood. The propagation matrix is rebuilt from the edge
+    // list with PrepareGraph's own builder: at a home's size that costs
+    // less than the SpMM refill below, which every edge change needs
+    // anyway (P X), so editing the matrix in place would save nothing.
     AugmentRelationalFeatures(&hs->graph);
+    hs->prepared.prop_csr = BuildPropagationCsr(
+        hs->graph, model_->config().type == GnnType::kGin);
+    ++stats_.rebuilds;
     hs->relational_dirty = false;
     hs->input_dirty = true;
   }
@@ -353,17 +342,6 @@ void StreamingDetectionEngine::PrepareForSnapshot(HomeState* hs) {
     }
     if (!same) ++stats_.parity_failures;
   }
-  // Churn-triggered compaction. Bit-identical to continuing incrementally
-  // (pinned by the parity check above), so it is pure hygiene: one build
-  // amortizes away the accumulated tail-shift cost of in-place edits.
-  const double threshold =
-      config_.rebuild_churn_fraction *
-      static_cast<double>(std::max<size_t>(1, hs->prepared.prop_csr.nnz()));
-  if (static_cast<double>(hs->churn_since_rebuild) > threshold) {
-    hs->prepared = PrepareGraph(hs->graph, model_->config());
-    hs->churn_since_rebuild = 0;
-    ++stats_.rebuilds;
-  }
 }
 
 Status StreamingDetectionEngine::RequestDetection(
@@ -371,6 +349,10 @@ Status StreamingDetectionEngine::RequestDetection(
   assert(completed != nullptr);
   HomeState* hs = Find(home_id);
   if (hs == nullptr) return Status::NotFound("serving: unknown home id");
+  // A NaN clock would never reach its linger deadline.
+  if (!std::isfinite(now)) {
+    return Status::InvalidArgument("serving: request time must be finite");
+  }
   ++stats_.requests;
   // Expiry is monotone: a request timestamped before the home's stream
   // clock sees the stream-clock view.

@@ -7,7 +7,6 @@
 
 #include "common/status.h"
 #include "gnn/gnn_model.h"
-#include "graph/delta_graph.h"
 #include "graph/interaction_graph.h"
 #include "serving/stats.h"
 #include "smarthome/event_log.h"
@@ -15,8 +14,9 @@
 
 namespace fexiot {
 
-/// \brief Batching and graph-maintenance knobs of the serving engine.
-/// The GNN architecture itself comes from the GnnModel the engine wraps.
+/// \brief Batching knobs of the serving engine. The GNN architecture
+/// itself comes from the GnnModel the engine wraps; the mining windows and
+/// the active window are constants (StreamingDetectionEngine).
 struct ServingConfig {
   /// Requests accumulated before an inference dispatch. 1 = the classic
   /// one-graph-at-a-time path (no snapshot copy, no batching overhead).
@@ -24,20 +24,6 @@ struct ServingConfig {
   /// Max simulated seconds a request may wait for batch-mates before the
   /// batch dispatches anyway (0 = dispatch as soon as sized or advanced).
   double max_linger_s = 0.05;
-  /// A rule counts as active — participates in interaction edges — for
-  /// this many seconds after its last observed firing.
-  double active_window_s = 600.0;
-  /// Max delay between a trigger event and the rule's action effects
-  /// (mirrors OnlineGraphBuilder::Options::firing_window).
-  double firing_window_s = 10.0;
-  /// Matching window for command <-> state-change consistency mining
-  /// (mirrors OnlineGraphBuilder::Options::consistency_window).
-  double consistency_window_s = 5.0;
-  /// Full PrepareGraph rebuild once in-place CSR toggles since the last
-  /// rebuild exceed this fraction of the matrix's stored entries. The
-  /// rebuild is bit-identical to continued incremental maintenance —
-  /// purely a compaction heuristic, never a correctness event.
-  double rebuild_churn_fraction = 0.5;
   /// Cross-check every snapshot against a from-scratch PrepareGraph and
   /// count mismatches in stats().parity_failures (testing/CI; expensive).
   bool verify_incremental = false;
@@ -61,24 +47,27 @@ struct DetectionResult {
 };
 
 /// \brief Long-lived streaming detection engine (DESIGN.md §5.11): ingests
-/// per-home cleaned event-log streams, maintains each home's interaction
-/// graph *incrementally* (delta CSR updates via DeltaPropagation, full
-/// PrepareGraph rebuilds only past the churn threshold), and serves
-/// detection requests through a batched block-diagonal inference path
-/// (GraphBatch + GnnModel::ForwardBatch) that is bit-identical to running
-/// the homes one at a time.
+/// per-home cleaned event-log streams, keeps each home's interaction graph
+/// current event by event, and serves detection requests through a batched
+/// block-diagonal inference path (GraphBatch + GnnModel::ForwardBatch)
+/// that is bit-identical to running the homes one at a time.
+///
+/// Graph maintenance has one path: Ingest edits only the InteractionGraph;
+/// the next snapshot of a home whose edges changed re-runs the relational
+/// augmentation, rebuilds the propagation matrix from the edge list
+/// (BuildPropagationCsr, as PrepareGraph does) and refills the input.
 ///
 /// Graph semantics (the streaming counterpart of OnlineGraphBuilder):
 /// every deployed rule is a node from AddHome on — never-fired rules are
-/// isolated self-loop-only nodes, which keeps the CSR dimensions fixed
-/// under churn. A rule is *active* for active_window_s after a mined
-/// firing (trigger state-change followed by all action states within
-/// firing_window_s; the firing timestamp is the trigger time). Directed
+/// isolated self-loop-only nodes, which keeps the node set fixed under
+/// churn. A rule is *active* for kActiveWindowS after a mined firing
+/// (trigger state-change followed by all action states within
+/// kFiringWindowS; the firing timestamp is the trigger time). Directed
 /// edge i -> j exists while both rules are active and rule i's actions
 /// can fire rule j's trigger (ActionTriggersRule over the deployed
 /// rules, precomputed at AddHome). Command- and effect-consistency
-/// scores are mined from the stream with the same windows as the offline
-/// builder and folded into the reserved feature dims.
+/// scores are mined from the stream with the offline builder's windows
+/// (graph/fusion.h) and folded into the reserved feature dims.
 ///
 /// Determinism: all simulated-time bookkeeping is driven by caller
 /// timestamps, all compute runs through the pool-deterministic kernels,
@@ -91,6 +80,10 @@ struct DetectionResult {
 /// process pool.
 class StreamingDetectionEngine {
  public:
+  /// A rule counts as active — participates in interaction edges — for
+  /// this many seconds after its last mined firing.
+  static constexpr double kActiveWindowS = 600.0;
+
   /// \p model must outlive the engine.
   StreamingDetectionEngine(const GnnModel* model, const ServingConfig& config);
 
@@ -99,8 +92,9 @@ class StreamingDetectionEngine {
   Status AddHome(int home_id, const Home& home);
 
   /// \brief Consumes one cleaned log entry for \p home_id. Timestamps
-  /// must be non-decreasing per home. Irrelevant kinds (sensor readings,
-  /// execution errors) are counted and skipped.
+  /// must be finite and non-decreasing per home (InvalidArgument
+  /// otherwise, with the home untouched). Irrelevant kinds (sensor
+  /// readings, execution errors) are counted and skipped.
   Status Ingest(int home_id, const LogEntry& entry);
 
   /// \brief Enqueues a detection request for \p home_id at simulated time
@@ -108,7 +102,8 @@ class StreamingDetectionEngine {
   /// never leak into an already-pending request. Dispatches happen when
   /// the batch fills, when a second request arrives for an already-pending
   /// home (forced early flush), or via AdvanceTo/Flush; completed results
-  /// are appended to \p completed (may be empty after a call).
+  /// are appended to \p completed (may be empty after a call). A
+  /// non-finite \p now is rejected with InvalidArgument.
   Status RequestDetection(int home_id, double now,
                           std::vector<DetectionResult>* completed);
 
@@ -122,12 +117,14 @@ class StreamingDetectionEngine {
   const ServingStats& stats() const { return stats_; }
   const ServingConfig& config() const { return config_; }
 
-  /// \brief The incrementally maintained prepared graph (testing).
+  /// \brief The home's prepared graph as of its last snapshot (as of
+  /// AddHome before the first): edges ingested since then reach it at the
+  /// next request.
   const PreparedGraph* prepared(int home_id) const;
 
   /// \brief From-scratch PrepareGraph over the home's current interaction
-  /// graph — the parity oracle incremental maintenance must match
-  /// bit-for-bit (testing).
+  /// graph — the parity oracle a snapshot must match bit for bit
+  /// (testing).
   PreparedGraph RebuildPrepared(int home_id) const;
 
   /// \brief The home's current interaction graph (testing).
@@ -161,19 +158,19 @@ class StreamingDetectionEngine {
   struct HomeState {
     Home home;
     InteractionGraph graph;      ///< fixed node universe, live edge set
-    PreparedGraph prepared;      ///< incrementally maintained (sparse)
-    DeltaPropagation delta{false};
+    PreparedGraph prepared;      ///< as of the last snapshot
     /// related[i * n + j]: rule i's actions can fire rule j's trigger.
     std::vector<bool> related;
     std::vector<RuleStats> rules;
     std::deque<TriggerCandidate> candidates;
     std::deque<EffectCheck> effect_checks;
     std::deque<CommandRecord> command_log;
-    double clock = 0.0;            ///< latest timestamp seen
-    bool relational_dirty = true;  ///< edges changed since last augment
-    /// Node features or edges changed since prepared.input was filled.
+    double clock = 0.0;  ///< latest timestamp seen
+    /// Edges changed since the last snapshot: the augmentation and the
+    /// propagation matrix are stale.
+    bool relational_dirty = true;
+    /// Node features changed since prepared.input was filled.
     bool input_dirty = false;
-    uint64_t churn_since_rebuild = 0;
     bool pending_request = false;  ///< snapshot currently in the batch
   };
 
@@ -185,15 +182,16 @@ class StreamingDetectionEngine {
   void ExpireTo(HomeState* hs, double now);
   /// Applies a mined firing of rule \p r at trigger time \p t.
   void CompleteFiring(HomeState* hs, int r, const TriggerCandidate& cand);
-  /// Adds/removes rule \p r's edges after an activation flip.
+  /// Adds/removes rule \p r's graph edges after an activation flip and
+  /// counts the undirected pairs that flipped.
   void SyncEdgesFor(HomeState* hs, int r);
   /// Refreshes node \p r's time and consistency dims; the prepared input
   /// follows at the next snapshot.
   void RefreshNodeFeatures(HomeState* hs, int r, double fire_time);
-  /// Re-runs relational augmentation if edges changed, refills the
-  /// prepared input if features or edges changed, and performs the
-  /// churn-triggered rebuild / parity verification. Called right before a
-  /// snapshot is taken.
+  /// If edges changed: re-runs the relational augmentation and rebuilds
+  /// the propagation matrix. If features or edges changed: refills the
+  /// prepared input. Then the optional parity check. Called right before
+  /// a snapshot is taken.
   void PrepareForSnapshot(HomeState* hs);
 
   void Dispatch(double dispatch_time, std::vector<DetectionResult>* completed);

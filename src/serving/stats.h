@@ -33,19 +33,23 @@ class LatencyRecorder {
 };
 
 /// \brief Telemetry block of a StreamingDetectionEngine. Counters cover
-/// the whole ingest -> delta graph -> batcher -> inference pipeline;
-/// `latency` records one end-to-end sample per served detection request.
+/// the whole ingest -> graph edit -> snapshot -> batcher -> inference
+/// pipeline; `latency` records one end-to-end sample per served detection
+/// request.
 struct ServingStats {
   uint64_t requests = 0;          ///< detection requests served
   uint64_t batches = 0;           ///< inference dispatches (incl. size 1)
   uint64_t ingested_events = 0;   ///< log entries consumed
   uint64_t firings = 0;           ///< rule firings mined from the streams
-  /// Undirected propagation-CSR pairs toggled in place (delta updates).
+  /// Undirected pairs of a home's graph whose presence flipped at ingest
+  /// (either direction live counts as present, as in the propagation
+  /// matrix).
   uint64_t incremental_updates = 0;
-  /// CSR entries rewritten by GCN degree renormalization.
-  uint64_t reweighted_entries = 0;
-  uint64_t rebuilds = 0;          ///< full PrepareGraph rebuilds (churn)
-  uint64_t parity_checks = 0;     ///< incremental-vs-rebuild verifications
+  /// Propagation matrices rebuilt at a snapshot: one per snapshot of a
+  /// home whose edges changed since its previous snapshot, and one at
+  /// each home's first snapshot.
+  uint64_t rebuilds = 0;
+  uint64_t parity_checks = 0;     ///< snapshot-vs-PrepareGraph verifications
   uint64_t parity_failures = 0;   ///< ...that found a mismatch (bug!)
   /// batch_size_hist[s] = number of dispatches of size s (index 0 unused).
   std::vector<uint64_t> batch_size_hist;

@@ -72,7 +72,7 @@ void EventLog::ForEachCleaned(
   // fewer than 4 of them (or ones Compute refuses) has none.
   std::map<int, std::vector<double>> numeric_by_device;
   for (const auto& e : entries_) {
-    if (IsFiniteReading(e)) {
+    if (std::isfinite(e.timestamp) && IsFiniteReading(e)) {
       numeric_by_device[e.device_id].push_back(*e.numeric_value);
     }
   }
@@ -87,6 +87,7 @@ void EventLog::ForEachCleaned(
   // Per device id, the last kept state change's logical value.
   std::unordered_map<int, const std::string*> last_value;
   for (const auto& e : entries_) {
+    if (!std::isfinite(e.timestamp)) continue;  // no place in time
     if (e.kind == LogKind::kExecutionError) continue;  // noise
     CleanedEntry c{&e, e.kind, &e.value};
     if (e.kind == LogKind::kSensorReading) {

@@ -72,6 +72,9 @@ class EventLog {
   /// \p keep for every entry Cleaned() keeps, in log order, with the
   /// entry's cleaned kind and value (pointers into this log or to static
   /// labels). The rules, per device id:
+  ///  - an entry with a non-finite timestamp is dropped as if absent: it
+  ///    takes no part in the Jenks fit or the repeat check below, so no
+  ///    NaN or infinite time reaches a consumer's window test;
   ///  - execution errors are dropped;
   ///  - a numeric reading is dropped unless it is finite and its device
   ///    has at least 4 finite readings with two-class Jenks breaks

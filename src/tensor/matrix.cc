@@ -78,12 +78,6 @@ Matrix& Matrix::operator*=(double scalar) {
   return *this;
 }
 
-Matrix& Matrix::HadamardInPlace(const Matrix& other) {
-  assert(SameShape(other));
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
-  return *this;
-}
-
 double Matrix::Norm() const {
   double s = 0.0;
   for (double x : data_) s += x * x;

@@ -86,9 +86,6 @@ class Matrix {
   Matrix& operator-=(const Matrix& other);
   Matrix& operator*=(double scalar);
 
-  /// Element-wise product (Hadamard), in place.
-  Matrix& HadamardInPlace(const Matrix& other);
-
   /// Frobenius norm.
   double Norm() const;
   /// Sum of all entries.

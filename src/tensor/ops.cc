@@ -290,22 +290,6 @@ Matrix Sigmoid(const Matrix& m) {
   return out;
 }
 
-Matrix SoftmaxRows(const Matrix& m) {
-  Matrix out = m;
-  for (size_t r = 0; r < out.rows(); ++r) {
-    double* row = out.RowPtr(r);
-    double mx = row[0];
-    for (size_t c = 1; c < out.cols(); ++c) mx = std::max(mx, row[c]);
-    double sum = 0.0;
-    for (size_t c = 0; c < out.cols(); ++c) {
-      row[c] = std::exp(row[c] - mx);
-      sum += row[c];
-    }
-    for (size_t c = 0; c < out.cols(); ++c) row[c] /= sum;
-  }
-  return out;
-}
-
 Matrix ColumnMean(const Matrix& m) {
   Matrix out = ColumnSum(m);
   if (m.rows() > 0) out *= 1.0 / static_cast<double>(m.rows());
@@ -317,20 +301,6 @@ Matrix ColumnSum(const Matrix& m) {
   for (size_t r = 0; r < m.rows(); ++r) {
     const double* row = m.RowPtr(r);
     for (size_t c = 0; c < m.cols(); ++c) out.At(0, c) += row[c];
-  }
-  return out;
-}
-
-Matrix L2NormalizeRows(const Matrix& m) {
-  Matrix out = m;
-  for (size_t r = 0; r < out.rows(); ++r) {
-    double* row = out.RowPtr(r);
-    double s = 0.0;
-    for (size_t c = 0; c < out.cols(); ++c) s += row[c] * row[c];
-    const double norm = std::sqrt(s);
-    if (norm > 1e-12) {
-      for (size_t c = 0; c < out.cols(); ++c) row[c] /= norm;
-    }
   }
   return out;
 }

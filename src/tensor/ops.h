@@ -89,15 +89,10 @@ void ColumnSumInto(const Matrix& m, Matrix* out);
 /// \brief Element-wise logistic sigmoid.
 Matrix Sigmoid(const Matrix& m);
 
-/// \brief Row-wise softmax (numerically stabilized).
-Matrix SoftmaxRows(const Matrix& m);
-
 /// \brief Column-wise mean as a 1 x cols matrix.
 Matrix ColumnMean(const Matrix& m);
 /// \brief Column-wise sum as a 1 x cols matrix.
 Matrix ColumnSum(const Matrix& m);
-/// \brief Row-wise L2 normalization (rows with ~0 norm left untouched).
-Matrix L2NormalizeRows(const Matrix& m);
 
 /// \brief Euclidean distance between two equal-length vectors.
 double EuclideanDistance(const std::vector<double>& a,

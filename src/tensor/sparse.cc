@@ -115,46 +115,6 @@ CsrMatrix CsrMatrix::BlockDiagonal(const std::vector<const CsrMatrix*>& blocks) 
   return out;
 }
 
-bool CsrMatrix::HasEntry(size_t r, int c) const {
-  assert(r < rows_);
-  const auto begin = col_idx_.begin() + static_cast<ptrdiff_t>(row_ptr_[r]);
-  const auto end = col_idx_.begin() + static_cast<ptrdiff_t>(row_ptr_[r + 1]);
-  return std::binary_search(begin, end, c);
-}
-
-double CsrMatrix::GetEntry(size_t r, int c) const {
-  assert(r < rows_);
-  const auto begin = col_idx_.begin() + static_cast<ptrdiff_t>(row_ptr_[r]);
-  const auto end = col_idx_.begin() + static_cast<ptrdiff_t>(row_ptr_[r + 1]);
-  const auto it = std::lower_bound(begin, end, c);
-  if (it == end || *it != c) return 0.0;
-  return values_[static_cast<size_t>(it - col_idx_.begin())];
-}
-
-void CsrMatrix::SetEntry(size_t r, int c, double v) {
-  assert(r < rows_ && c >= 0 && static_cast<size_t>(c) < cols_);
-  const auto begin = col_idx_.begin() + static_cast<ptrdiff_t>(row_ptr_[r]);
-  const auto end = col_idx_.begin() + static_cast<ptrdiff_t>(row_ptr_[r + 1]);
-  const auto it = std::lower_bound(begin, end, c);
-  const size_t pos = static_cast<size_t>(it - col_idx_.begin());
-  const bool present = it != end && *it == c;
-  if (present) {
-    if (v == 0.0) {
-      // Erase: shift the tail left and drop every later row offset by one.
-      col_idx_.erase(col_idx_.begin() + static_cast<ptrdiff_t>(pos));
-      values_.erase(values_.begin() + static_cast<ptrdiff_t>(pos));
-      for (size_t rr = r + 1; rr <= rows_; ++rr) --row_ptr_[rr];
-    } else {
-      values_[pos] = v;
-    }
-    return;
-  }
-  if (v == 0.0) return;  // absent + zero: nothing to store
-  col_idx_.insert(col_idx_.begin() + static_cast<ptrdiff_t>(pos), c);
-  values_.insert(values_.begin() + static_cast<ptrdiff_t>(pos), v);
-  for (size_t rr = r + 1; rr <= rows_; ++rr) ++row_ptr_[rr];
-}
-
 Matrix CsrMatrix::ToDense() const {
   Matrix out(rows_, cols_);
   for (size_t r = 0; r < rows_; ++r) {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -23,13 +22,13 @@ namespace fexiot {
 ///    Ascending column order is load-bearing: it is what makes SpMM
 ///    reproduce the dense reference kernel's accumulation order bit for
 ///    bit (see SpMM below and docs/KERNELS.md §2).
-///  - Stored values are never 0.0: FromDense, the builders, and the
-///    mutators drop exact zeros (both +0.0 and -0.0), mirroring the
-///    reference GEMM's zero-skip.
-///  - const members are safe to call concurrently. The in-place mutators
-///    (SetEntry/InsertEntry/RemoveEntry) preserve every structural
-///    invariant above — ascending columns, no stored zeros — but require
-///    external synchronization, like any non-const container method.
+///  - Stored values are never 0.0: FromDense and the builders drop exact
+///    zeros (both +0.0 and -0.0), mirroring the reference GEMM's
+///    zero-skip.
+///  - Immutable once built: there are no point mutators. A matrix whose
+///    structure changes is rebuilt whole (PrepareGraph, and the serving
+///    engine at each snapshot of a home whose edges changed), so const
+///    members are safe to call concurrently.
 class CsrMatrix {
  public:
   CsrMatrix() : rows_(0), cols_(0), row_ptr_(1, 0) {}
@@ -78,28 +77,6 @@ class CsrMatrix {
 
   /// \brief Number of stored entries in row \p r.
   size_t RowNnz(size_t r) const { return row_ptr_[r + 1] - row_ptr_[r]; }
-
-  /// \brief True iff entry (r, c) is structurally present.
-  bool HasEntry(size_t r, int c) const;
-
-  /// \brief Stored value at (r, c), or 0.0 when structurally absent.
-  double GetEntry(size_t r, int c) const;
-
-  /// \brief Sets entry (r, c) to \p v in place: inserts when absent,
-  /// overwrites when present, erases when v == 0.0 (matching the
-  /// no-stored-zeros contract). Insertion keeps the row's columns
-  /// strictly ascending. O(nnz) worst case for the tail shift — cheap at
-  /// interaction-graph scales, where rows hold a handful of entries.
-  void SetEntry(size_t r, int c, double v);
-
-  /// \brief SetEntry for a value known to be nonzero (asserts v != 0.0).
-  void InsertEntry(size_t r, int c, double v) {
-    assert(v != 0.0 && "InsertEntry requires a nonzero value");
-    SetEntry(r, c, v);
-  }
-
-  /// \brief Removes entry (r, c); no-op when structurally absent.
-  void RemoveEntry(size_t r, int c) { SetEntry(r, c, 0.0); }
 
   /// \brief Heap bytes held by the index + value arrays (the steady-state
   /// footprint a PreparedGraph carries instead of an n x n dense matrix).

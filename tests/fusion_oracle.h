@@ -5,15 +5,18 @@
 // Production fusion (graph/fusion.cc) cleans the raw log and mines it in
 // one pass, over per-device-type arrays that point into the log, and
 // takes each fused node's text features from a process-wide memo. This
-// header keeps the construction it replaced, verbatim: EventLog::Cleaned()
-// as a copy of the log, OnlineGraphBuilder::Build over a std::map of
-// device timelines with copied value strings and ComputeNodeFeatures per
-// node, and FexIoT::Fuse as clean-then-build with the checker run twice.
-// Tests pin the production path to it bit for bit.
+// header keeps the construction it replaced, verbatim but for reading the
+// mining windows from graph/fusion.h: EventLog::Cleaned() as a copy of the
+// log, OnlineGraphBuilder::Build over a std::map of device timelines with
+// copied value strings and ComputeNodeFeatures per node, and FexIoT::Fuse
+// as clean-then-build with the checker run twice. Tests pin the
+// production path to it bit for bit.
 //
 // The oracle's cleaning has no guard for non-finite readings (production
-// drops them; the old Jenks fit read out of bounds on them), so tests
-// feed it logs without such readings.
+// drops them; the old Jenks fit read out of bounds on them) or non-finite
+// timestamps (production drops those entries; the oracle's window test
+// counts a NaN time as inside every window), so tests feed it logs
+// without either.
 
 #include <map>
 #include <string>
@@ -82,11 +85,9 @@ struct OracleDeviceTimeline {
 };
 
 /// OnlineGraphBuilder::Build as it was, over a cleaned log.
-inline InteractionGraph OracleBuild(
-    const Home& home, const EventLog& cleaned_log,
-    OnlineGraphBuilder::Options options = OnlineGraphBuilder::Options()) {
+inline InteractionGraph OracleBuild(const Home& home,
+                                    const EventLog& cleaned_log) {
   const Home& home_ = home;
-  const OnlineGraphBuilder::Options& options_ = options;
   const auto& entries = cleaned_log.entries();
 
   // Index log entries per device type.
@@ -130,7 +131,7 @@ inline InteractionGraph OracleBuild(
       bool all_actions = true;
       for (const auto& a : rule.actions) {
         if (!has_record(a.device, a.state, t.times[i],
-                        t.times[i] + options_.firing_window,
+                        t.times[i] + kFiringWindowS,
                         LogKind::kStateChange)) {
           all_actions = false;
         }
@@ -142,8 +143,8 @@ inline InteractionGraph OracleBuild(
       for (const auto& a : rule.actions) {
         ++command_total;
         if (has_record(a.device, a.state,
-                       t.times[i] - options_.consistency_window,
-                       t.times[i] + options_.firing_window,
+                       t.times[i] - kConsistencyWindowS,
+                       t.times[i] + kFiringWindowS,
                        LogKind::kCommand)) {
           ++command_hits;
         }
@@ -159,7 +160,7 @@ inline InteractionGraph OracleBuild(
         if (at->second.values[i] != a.state) continue;
         ++effect_total;
         if (has_record(a.device, a.state, at->second.times[i],
-                       at->second.times[i] + options_.consistency_window,
+                       at->second.times[i] + kConsistencyWindowS,
                        LogKind::kStateChange)) {
           ++effect_hits;
         }

@@ -1,9 +1,10 @@
 // Online fusion pinned to the clean-copy, map-based construction it
 // replaced (tests/fusion_oracle.h), bit for bit, on simulated windows of
-// testbed and chained homes under every attack class and on hostile logs;
-// plus the properties the one-pass design relies on: cleaning is
-// idempotent, Build accepts a raw or a cleaned log, and concurrent fusions
-// sharing the process-wide text memo agree.
+// testbed and chained homes under every attack class and on hostile logs
+// (the oracle sees each log without its non-finite-time entries, which
+// cleaning drops); plus the properties the one-pass design relies on:
+// cleaning is idempotent, Build accepts a raw or a cleaned log, and
+// concurrent fusions sharing the process-wide text memo agree.
 
 #include <gtest/gtest.h>
 
@@ -36,6 +37,16 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+/// \p log without its entries at a non-finite time: the log the oracle
+/// must see for cleaning's first rule.
+EventLog FiniteTimes(const EventLog& log) {
+  std::vector<LogEntry> kept;
+  for (const LogEntry& e : log.entries()) {
+    if (std::isfinite(e.timestamp)) kept.push_back(e);
+  }
+  return EventLog(std::move(kept));
+}
+
 void ExpectSameLog(const EventLog& want, const EventLog& got,
                    const std::string& what) {
   ASSERT_EQ(want.size(), got.size()) << what;
@@ -56,6 +67,22 @@ void ExpectSameLog(const EventLog& want, const EventLog& got,
     EXPECT_EQ(a.kind, b.kind) << what << " entry " << i;
     EXPECT_EQ(a.source_rule_id, b.source_rule_id) << what << " entry " << i;
   }
+}
+
+/// Node rules, event times and features bit for bit, and edges in order.
+bool SameNodesAndEdges(const InteractionGraph& a, const InteractionGraph& b) {
+  if (a.num_nodes() != b.num_nodes() || a.edges() != b.edges()) return false;
+  for (int v = 0; v < a.num_nodes(); ++v) {
+    const GraphNode& x = a.node(v);
+    const GraphNode& y = b.node(v);
+    if (x.rule.id != y.rule.id || !SameBits(x.event_time, y.event_time) ||
+        x.features.size() != y.features.size() ||
+        std::memcmp(x.features.data(), y.features.data(),
+                    x.features.size() * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// Features, event times, rules, edges (in order), label, vulnerability,
@@ -226,7 +253,7 @@ const Inputs& TestInputs() {
 
 TEST(FusionOracle, CleanedMatchesOracle) {
   for (const Case& c : TestInputs().cases) {
-    ExpectSameLog(OracleCleaned(c.raw), c.raw.Cleaned(), c.name);
+    ExpectSameLog(OracleCleaned(FiniteTimes(c.raw)), c.raw.Cleaned(), c.name);
   }
 }
 
@@ -242,7 +269,8 @@ TEST(FusionOracle, BuildMatchesOracleOnRawAndCleanedLogs) {
   size_t nodes = 0, edges = 0;
   for (const Case& c : in.cases) {
     const Home& home = in.homes[c.home];
-    const InteractionGraph want = OracleBuild(home, OracleCleaned(c.raw));
+    const InteractionGraph want =
+        OracleBuild(home, OracleCleaned(FiniteTimes(c.raw)));
     const OnlineGraphBuilder builder(home);
     ExpectSameGraph(want, builder.Build(c.raw), c.name + " (raw)");
     ExpectSameGraph(want, builder.Build(c.raw.Cleaned()),
@@ -261,7 +289,7 @@ TEST(FusionOracle, FuseMatchesOracle) {
   int vulnerable = 0;
   for (const Case& c : in.cases) {
     const Home& home = in.homes[c.home];
-    const InteractionGraph want = OracleFuse(home, c.raw);
+    const InteractionGraph want = OracleFuse(home, FiniteTimes(c.raw));
     ExpectSameGraph(want, fexiot.Fuse(home, c.raw), c.name);
     vulnerable += want.label();
   }
@@ -296,6 +324,31 @@ TEST(FusionOracle, ConcurrentFusesThroughTheSharedMemoAgree) {
     ExpectSameGraph(want[i % logs.size()], got[i],
                     "window " + std::to_string(i % logs.size()));
   }
+}
+
+TEST(FusionOracle, NonFiniteTimestampsAreDropped) {
+  // Every case above compares against the oracle on the log without its
+  // non-finite-time entries. The oracle on the whole log keeps them: a
+  // NaN time counts as inside every window (a NaN trigger fires its rule
+  // with a NaN event time, a NaN state change completes every pending
+  // trigger of a rule with that action), and kept entries take part in
+  // the repeat check. Each of the five windows (homes 0-4, clean, with a
+  // third of the entries at NaN, +inf or -inf) fused differently that way.
+  const Inputs& in = TestInputs();
+  std::vector<std::string> cases, changed;
+  for (const Case& c : in.cases) {
+    if (c.name.find("non-finite timestamps") == std::string::npos) continue;
+    cases.push_back(c.name);
+    const Home& home = in.homes[c.home];
+    const InteractionGraph got = OnlineGraphBuilder(home).Build(c.raw);
+    ExpectSameGraph(OracleBuild(home, OracleCleaned(FiniteTimes(c.raw))), got,
+                    c.name);
+    if (!SameNodesAndEdges(OracleBuild(home, OracleCleaned(c.raw)), got)) {
+      changed.push_back(c.name);
+    }
+  }
+  EXPECT_EQ(cases.size(), 5u);
+  EXPECT_EQ(changed, cases);
 }
 
 TEST(FusionOracle, NonFiniteReadingsAreDropped) {

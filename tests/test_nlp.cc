@@ -152,11 +152,6 @@ TEST(Dtw, EmptySequenceIsMaximal) {
   EXPECT_DOUBLE_EQ(DtwDistance({}, {}), 0.0);
 }
 
-TEST(Dtw, ScalarMonotoneAlignment) {
-  EXPECT_NEAR(DtwDistanceScalar({1, 2, 3}, {1, 2, 3}), 0.0, 1e-12);
-  EXPECT_GT(DtwDistanceScalar({1, 2, 3}, {5, 6, 7}), 1.0);
-}
-
 TEST(Jenks, TwoClassBreaksSeparateModes) {
   // Two clear modes around 20 and 80.
   std::vector<double> values = {18, 19, 20, 21, 22, 78, 79, 80, 81, 82};

@@ -1,10 +1,10 @@
-// Tests for the online serving subsystem (DESIGN.md §5.11): CSR in-place
-// mutation + block-diagonal stacking, per-block batched dense transforms,
-// incremental propagation maintenance vs from-scratch PrepareGraph
-// (bit-parity under randomized churn), batched block-diagonal inference
-// vs one-graph-at-a-time (bit-identity incl. ragged/single/empty
-// batches), the streaming detection engine end to end, thread-count
-// parity, and latency-statistics properties.
+// Tests for the online serving subsystem (DESIGN.md §5.11): CSR
+// block-diagonal stacking, per-block batched dense transforms, batched
+// block-diagonal inference vs one-graph-at-a-time (bit-identity incl.
+// ragged/single/empty batches), the streaming detection engine end to end
+// (every snapshot equal to a from-scratch PrepareGraph for GCN, GIN and
+// MAGNN; its counters; rejected inputs), thread-count parity, and
+// latency-statistics properties.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -21,7 +22,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "gnn/gnn_model.h"
-#include "graph/delta_graph.h"
 #include "graph/fusion.h"
 #include "graph/interaction_graph.h"
 #include "serving/arrivals.h"
@@ -62,60 +62,8 @@ bool CsrBitsEqual(const CsrMatrix& a, const CsrMatrix& b) {
 }
 
 // ---------------------------------------------------------------------------
-// CSR in-place mutation
+// CSR block-diagonal stacking
 // ---------------------------------------------------------------------------
-
-TEST(CsrMutation, SetEntryMatchesDenseMirrorUnderRandomOps) {
-  for (uint64_t seed : {11u, 22u, 33u}) {
-    Rng rng(seed);
-    const size_t rows = 7, cols = 9;
-    Matrix dense(rows, cols);
-    CsrMatrix csr = CsrMatrix::FromDense(dense);
-    for (int op = 0; op < 300; ++op) {
-      const size_t r = static_cast<size_t>(rng.Uniform(0.0, 1.0) * rows) % rows;
-      const int c = static_cast<int>(rng.Uniform(0.0, 1.0) * cols) %
-                    static_cast<int>(cols);
-      // ~1/3 removals, 2/3 writes of a nonzero value.
-      const double v =
-          rng.Uniform() < 1.0 / 3.0 ? 0.0 : rng.Uniform(-2.0, 2.0);
-      dense.At(r, static_cast<size_t>(c)) = v;
-      csr.SetEntry(r, c, v);
-      if (op % 25 == 0 || op == 299) {
-        EXPECT_TRUE(CsrBitsEqual(csr, CsrMatrix::FromDense(dense)))
-            << "seed=" << seed << " op=" << op;
-      }
-    }
-    EXPECT_TRUE(MatrixBitsEqual(csr.ToDense(), dense));
-  }
-}
-
-TEST(CsrMutation, AccessorsAndInsertRemove) {
-  CsrMatrix m = CsrMatrix::FromDense(Matrix(3, 4));
-  EXPECT_EQ(m.nnz(), 0u);
-  EXPECT_FALSE(m.HasEntry(1, 2));
-  EXPECT_EQ(m.GetEntry(1, 2), 0.0);
-
-  m.InsertEntry(1, 2, 2.5);
-  m.InsertEntry(1, 0, -1.0);  // before an existing column: order preserved
-  m.InsertEntry(2, 3, 4.0);
-  EXPECT_EQ(m.nnz(), 3u);
-  EXPECT_EQ(m.RowNnz(0), 0u);
-  EXPECT_EQ(m.RowNnz(1), 2u);
-  EXPECT_TRUE(m.HasEntry(1, 0));
-  EXPECT_EQ(m.GetEntry(1, 2), 2.5);
-  EXPECT_EQ(m.GetEntry(2, 3), 4.0);
-
-  m.SetEntry(1, 2, 7.0);  // overwrite keeps structure
-  EXPECT_EQ(m.nnz(), 3u);
-  EXPECT_EQ(m.GetEntry(1, 2), 7.0);
-
-  m.RemoveEntry(1, 0);
-  m.RemoveEntry(0, 0);  // absent: no-op
-  EXPECT_EQ(m.nnz(), 2u);
-  EXPECT_FALSE(m.HasEntry(1, 0));
-  EXPECT_EQ(m.GetEntry(1, 2), 7.0);  // survivor untouched
-  EXPECT_EQ(m.GetEntry(2, 3), 4.0);
-}
 
 TEST(CsrMutation, BlockDiagonalMatchesDenseOracle) {
   Rng rng(77);
@@ -199,82 +147,6 @@ TEST(MatMulBlocks, BitIdenticalToPerBlockMatMulAcrossDispatchThreshold) {
               0)
         << "block " << bi << " rows [" << r0 << ", " << r1 << ")";
   }
-}
-
-// ---------------------------------------------------------------------------
-// Incremental propagation maintenance vs PrepareGraph
-// ---------------------------------------------------------------------------
-
-void RunDeltaChurn(GnnType type, uint64_t seed) {
-  const int n = 24;
-  GnnConfig gc;
-  gc.type = type;
-  InteractionGraph g;
-  Rng rng(seed);
-  for (int i = 0; i < n; ++i) {
-    GraphNode node;
-    node.features.assign(8, rng.Uniform(-1.0, 1.0));
-    g.AddNode(std::move(node));
-  }
-  DeltaPropagation delta(type == GnnType::kGin);
-  CsrMatrix p = delta.MakeIsolated(static_cast<size_t>(n));
-  EXPECT_TRUE(CsrBitsEqual(p, PrepareGraph(g, gc).prop_csr))
-      << "isolated baseline";
-
-  std::set<std::pair<int, int>> live;
-  for (int step = 0; step < 400; ++step) {
-    int u = static_cast<int>(rng.NextU64() % static_cast<uint64_t>(n));
-    int v = static_cast<int>(rng.NextU64() % static_cast<uint64_t>(n));
-    if (u == v) continue;
-    if (u > v) std::swap(u, v);
-    if (live.count({u, v})) {
-      live.erase({u, v});
-      g.RemoveEdge(u, v);
-      delta.RemoveEdge(&p, u, v);
-    } else {
-      live.insert({u, v});
-      g.AddEdge(u, v);
-      delta.InsertEdge(&p, u, v);
-    }
-    if (step % 20 == 0 || step == 399) {
-      EXPECT_TRUE(CsrBitsEqual(p, PrepareGraph(g, gc).prop_csr))
-          << GnnTypeName(type) << " seed=" << seed << " step=" << step;
-    }
-  }
-  EXPECT_GT(delta.structural_updates(), 0u);
-  if (type == GnnType::kGin) {
-    EXPECT_EQ(delta.reweighted_entries(), 0u);
-  } else {
-    EXPECT_GT(delta.reweighted_entries(), 0u);
-  }
-}
-
-TEST(DeltaPropagationTest, GcnBitParityUnderRandomChurn) {
-  for (uint64_t seed : {101u, 202u, 303u}) RunDeltaChurn(GnnType::kGcn, seed);
-}
-
-TEST(DeltaPropagationTest, GinBitParityUnderRandomChurn) {
-  for (uint64_t seed : {101u, 202u, 303u}) RunDeltaChurn(GnnType::kGin, seed);
-}
-
-TEST(DeltaPropagationTest, InsertRemoveNoOpsAndTelemetry) {
-  DeltaPropagation delta(false);
-  CsrMatrix p = delta.MakeIsolated(4);
-  delta.InsertEdge(&p, 0, 2);
-  const uint64_t after_one = delta.structural_updates();
-  EXPECT_EQ(after_one, 1u);
-  delta.InsertEdge(&p, 0, 2);  // duplicate: no-op
-  delta.InsertEdge(&p, 2, 0);  // mirror of an existing pair: no-op
-  EXPECT_EQ(delta.structural_updates(), after_one);
-  EXPECT_TRUE(DeltaPropagation::HasEdge(p, 0, 2));
-  EXPECT_TRUE(DeltaPropagation::HasEdge(p, 2, 0));
-  delta.RemoveEdge(&p, 1, 3);  // absent: no-op
-  EXPECT_EQ(delta.structural_updates(), after_one);
-  delta.RemoveEdge(&p, 2, 0);
-  EXPECT_EQ(delta.structural_updates(), after_one + 1);
-  EXPECT_FALSE(DeltaPropagation::HasEdge(p, 0, 2));
-  // Back to isolated: every diagonal value exactly 1.0 again.
-  EXPECT_TRUE(CsrBitsEqual(p, delta.MakeIsolated(4)));
 }
 
 // ---------------------------------------------------------------------------
@@ -392,17 +264,19 @@ const std::vector<ServedHome>& ServingWorld() {
   return *world;
 }
 
-/// Drives a deterministic ingest/request schedule: the world's logs are
-/// cut into \p chunks per-home index ranges; after each chunk every home
-/// gets one detection request at the chunk's max timestamp, then the
-/// batch is flushed. Identical schedules with different max_batch must
-/// produce bit-identical embeddings per (home, request_time).
-std::vector<DetectionResult> RunScenario(int max_batch, bool verify,
-                                         ServingStats* stats_out,
+/// Drives a deterministic ingest/request schedule through a \p type
+/// model: the world's logs are cut into \p chunks per-home index ranges;
+/// after each chunk every home gets one detection request at the chunk's
+/// max timestamp, then the batch is flushed. Identical schedules with
+/// different max_batch must produce bit-identical embeddings per (home,
+/// request_time).
+std::vector<DetectionResult> RunScenario(GnnType type, int max_batch,
+                                         bool verify, ServingStats* stats_out,
                                          size_t num_homes = 6,
                                          int chunks = 4) {
   const std::vector<ServedHome>& world = ServingWorld();
-  GnnConfig gc;  // default GCN
+  GnnConfig gc;
+  gc.type = type;
   const GnnModel model(gc);
   ServingConfig sc;
   sc.max_batch = max_batch;
@@ -453,7 +327,8 @@ std::map<ResultKey, const DetectionResult*> IndexResults(
 
 TEST(ServingEngine, BatchedBitIdenticalToSequential) {
   ServingStats seq_stats;
-  const std::vector<DetectionResult> seq = RunScenario(1, false, &seq_stats);
+  const std::vector<DetectionResult> seq =
+      RunScenario(GnnType::kGcn, 1, false, &seq_stats);
   ASSERT_EQ(seq.size(), 24u);  // 6 homes x 4 chunks
   const auto seq_index = IndexResults(seq);
 
@@ -461,7 +336,8 @@ TEST(ServingEngine, BatchedBitIdenticalToSequential) {
   // max_batch 4 < homes: a full dispatch of 4 plus a ragged tail of 2.
   for (int mb : {4, 8}) {
     ServingStats stats;
-    const std::vector<DetectionResult> bat = RunScenario(mb, false, &stats);
+    const std::vector<DetectionResult> bat =
+        RunScenario(GnnType::kGcn, mb, false, &stats);
     ASSERT_EQ(bat.size(), seq.size()) << "max_batch=" << mb;
     for (const DetectionResult& r : bat) {
       const auto it = seq_index.find({r.home_id, r.request_time});
@@ -569,15 +445,20 @@ TEST(ServingEngine, ZeroLingerDispatchesImmediately) {
 TEST(ServingEngine, IncrementalMatchesRebuildUnderStream) {
   // verify_incremental cross-checks every snapshot against a from-scratch
   // PrepareGraph; six chunks of real simulator traffic with 600 s active
-  // windows force plenty of edge churn between snapshots.
-  ServingStats stats;
-  const std::vector<DetectionResult> results =
-      RunScenario(8, true, &stats, 6, 6);
-  EXPECT_EQ(results.size(), 36u);
-  EXPECT_GT(stats.firings, 0u);
-  EXPECT_GT(stats.incremental_updates, 0u);
-  EXPECT_GT(stats.parity_checks, 0u);
-  EXPECT_EQ(stats.parity_failures, 0u);
+  // windows force plenty of edge churn between snapshots. GCN's matrix
+  // carries degree-normalized values, GIN's plain ones, and MAGNN reads
+  // X rather than P X.
+  for (GnnType type : {GnnType::kGcn, GnnType::kGin, GnnType::kMagnn}) {
+    ServingStats stats;
+    const std::vector<DetectionResult> results =
+        RunScenario(type, 8, true, &stats, 6, 6);
+    EXPECT_EQ(results.size(), 36u) << GnnTypeName(type);
+    EXPECT_GT(stats.firings, 0u) << GnnTypeName(type);
+    EXPECT_GT(stats.incremental_updates, 0u) << GnnTypeName(type);
+    EXPECT_GT(stats.rebuilds, 6u) << GnnTypeName(type);
+    EXPECT_EQ(stats.parity_checks, 36u) << GnnTypeName(type);
+    EXPECT_EQ(stats.parity_failures, 0u) << GnnTypeName(type);
+  }
 }
 
 TEST(ServingEngine, FinalPreparedMatchesRebuildBitwise) {
@@ -649,30 +530,142 @@ TEST(ServingEngine, FiredNodeFeaturesFollowComputeNodeFeatures) {
   EXPECT_GT(fired, 0);
 }
 
-TEST(ServingEngine, ChurnThresholdTriggersRebuilds) {
-  // A tiny churn budget forces the compaction path; results must not
-  // change (pinned globally by BatchedBitIdenticalToSequential +
-  // verify_incremental, here we pin the counter actually moving).
+/// The home's undirected edge set: one (min, max) pair whenever either
+/// direction is live, as the propagation matrix stores it.
+std::set<std::pair<int, int>> UndirectedEdges(const InteractionGraph& g) {
+  std::set<std::pair<int, int>> pairs;
+  for (const auto& [u, v] : g.edges()) {
+    pairs.insert({std::min(u, v), std::max(u, v)});
+  }
+  return pairs;
+}
+
+size_t SymmetricDifference(const std::set<std::pair<int, int>>& a,
+                           const std::set<std::pair<int, int>>& b) {
+  size_t n = 0;
+  for (const auto& p : a) n += b.count(p) == 0;
+  for (const auto& p : b) n += a.count(p) == 0;
+  return n;
+}
+
+TEST(ServingEngine, CountersFollowEdgeTogglesAndSnapshots) {
+  // incremental_updates moves by exactly the pairs each call flips in the
+  // home's graph; rebuilds counts the snapshots of a home whose edges
+  // changed since its previous snapshot, each home's first one included.
   const std::vector<ServedHome>& world = ServingWorld();
   GnnConfig gc;
   const GnnModel model(gc);
   ServingConfig sc;
-  sc.max_batch = 1;
-  sc.rebuild_churn_fraction = 1e-6;
+  sc.max_batch = 4;
   sc.verify_incremental = true;
   StreamingDetectionEngine engine(&model, sc);
-  ASSERT_TRUE(engine.AddHome(0, world[0].home).ok());
+  const int num_homes = 3;
+  std::vector<std::set<std::pair<int, int>>> edges(num_homes);
+  std::vector<bool> changed(num_homes, true);  // first snapshot rebuilds
+  uint64_t want_rebuilds = 0, flips = 0;
   std::vector<DetectionResult> out;
-  const std::vector<LogEntry>& log = world[0].log;
-  for (size_t k = 0; k < log.size(); ++k) {
-    ASSERT_TRUE(engine.Ingest(0, log[k]).ok());
-    if (k % 25 == 24) {
-      ASSERT_TRUE(engine.RequestDetection(0, log[k].timestamp, &out).ok());
+  // Runs one engine call on home h and checks its counter moves.
+  auto step = [&](int h, const auto& call, bool snapshot) {
+    const uint64_t updates = engine.stats().incremental_updates;
+    const uint64_t rebuilds = engine.stats().rebuilds;
+    ASSERT_TRUE(call().ok());
+    const auto now = UndirectedEdges(*engine.graph(h));
+    const size_t flipped = SymmetricDifference(edges[h], now);
+    EXPECT_EQ(engine.stats().incremental_updates - updates, flipped);
+    flips += flipped;
+    changed[h] = changed[h] || flipped > 0;
+    edges[h] = now;
+    if (snapshot) {
+      want_rebuilds += changed[h];
+      EXPECT_EQ(engine.stats().rebuilds - rebuilds, changed[h] ? 1u : 0u);
+      changed[h] = false;
+    } else {
+      EXPECT_EQ(engine.stats().rebuilds, rebuilds);
+    }
+  };
+  for (int h = 0; h < num_homes; ++h) {
+    ASSERT_TRUE(engine.AddHome(h, world[static_cast<size_t>(h)].home).ok());
+  }
+  // Interleaved streams: every home ingests its next 8 entries, then
+  // requests a detection at its own clock.
+  size_t longest = 0;
+  for (int h = 0; h < num_homes; ++h) {
+    longest = std::max(longest, world[static_cast<size_t>(h)].log.size());
+  }
+  for (size_t begin = 0; begin < longest; begin += 8) {
+    for (int h = 0; h < num_homes; ++h) {
+      const std::vector<LogEntry>& log = world[static_cast<size_t>(h)].log;
+      const size_t end = std::min(log.size(), begin + 8);
+      for (size_t k = begin; k < end; ++k) {
+        step(h, [&] { return engine.Ingest(h, log[k]); }, false);
+      }
+      if (begin >= log.size()) continue;
+      const double t = log[end - 1].timestamp;
+      step(h, [&] { return engine.RequestDetection(h, t, &out); }, true);
     }
   }
-  ASSERT_GT(engine.stats().requests, 0u);
-  EXPECT_GT(engine.stats().rebuilds, 0u);
+  engine.Flush(&out);
+  EXPECT_GT(flips, 0u);
+  EXPECT_EQ(engine.stats().incremental_updates, flips);
+  EXPECT_EQ(engine.stats().rebuilds, want_rebuilds);
+  EXPECT_GT(want_rebuilds, static_cast<uint64_t>(num_homes));
+  EXPECT_LT(want_rebuilds, engine.stats().requests);
   EXPECT_EQ(engine.stats().parity_failures, 0u);
+}
+
+TEST(ServingEngine, RejectsNonFiniteTimes) {
+  // Copies of stream entries at NaN and +-inf, and requests at those
+  // times, are each rejected with InvalidArgument and leave the engine as
+  // the clean stream leaves it: the same firings and the same embeddings,
+  // bit for bit.
+  const ServedHome& sh = ServingWorld()[0];
+  GnnConfig gc;
+  const GnnModel model(gc);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double bad_times[] = {std::numeric_limits<double>::quiet_NaN(), inf,
+                              -inf};
+  auto run = [&](bool hostile, ServingStats* stats) {
+    StreamingDetectionEngine engine(&model, ServingConfig{});
+    EXPECT_TRUE(engine.AddHome(0, sh.home).ok());
+    std::vector<DetectionResult> out;
+    for (size_t k = 0; k < sh.log.size(); ++k) {
+      if (hostile && k % 3 == 0) {
+        LogEntry bad = sh.log[k];
+        for (double t : bad_times) {
+          bad.timestamp = t;
+          EXPECT_EQ(engine.Ingest(0, bad).code(), StatusCode::kInvalidArgument)
+              << "entry " << k << " at " << t;
+        }
+      }
+      EXPECT_TRUE(engine.Ingest(0, sh.log[k]).ok());
+      if (k % 10 == 9) {
+        for (double t : bad_times) {
+          if (!hostile) break;
+          EXPECT_EQ(engine.RequestDetection(0, t, &out).code(),
+                    StatusCode::kInvalidArgument);
+        }
+        EXPECT_TRUE(
+            engine.RequestDetection(0, sh.log[k].timestamp, &out).ok());
+      }
+    }
+    engine.Flush(&out);
+    *stats = engine.stats();
+    return out;
+  };
+  ServingStats clean_stats, hostile_stats;
+  const std::vector<DetectionResult> clean = run(false, &clean_stats);
+  const std::vector<DetectionResult> hostile = run(true, &hostile_stats);
+  ASSERT_GT(clean.size(), 2u);
+  ASSERT_EQ(hostile.size(), clean.size());
+  for (size_t i = 0; i < clean.size(); ++i) {
+    EXPECT_EQ(hostile[i].request_time, clean[i].request_time);
+    EXPECT_TRUE(BitsEqual(hostile[i].embedding, clean[i].embedding))
+        << "request " << i;
+  }
+  EXPECT_GT(clean_stats.firings, 0u);
+  EXPECT_EQ(hostile_stats.firings, clean_stats.firings);
+  EXPECT_EQ(hostile_stats.ingested_events, clean_stats.ingested_events);
+  EXPECT_EQ(hostile_stats.requests, clean_stats.requests);
 }
 
 TEST(ServingEngine, RejectsBadInputs) {
@@ -736,9 +729,11 @@ std::string SortedResultDigest(const std::vector<DetectionResult>& results) {
 
 TEST(ServingEngine, ThreadCountParity) {
   parallel::SetThreads(1);
-  const std::vector<DetectionResult> r1 = RunScenario(8, false, nullptr);
+  const std::vector<DetectionResult> r1 =
+      RunScenario(GnnType::kGcn, 8, false, nullptr);
   parallel::SetThreads(4);
-  const std::vector<DetectionResult> r4 = RunScenario(8, false, nullptr);
+  const std::vector<DetectionResult> r4 =
+      RunScenario(GnnType::kGcn, 8, false, nullptr);
   parallel::SetThreads(0);
   EXPECT_EQ(SortedResultDigest(r1), SortedResultDigest(r4));
 }
@@ -839,7 +834,7 @@ TEST(ServingStatsTest, PercentilesMonotoneOnRandomSamples) {
 TEST(ServingStatsTest, EngineAccountingConsistent) {
   ServingStats stats;
   const std::vector<DetectionResult> results =
-      RunScenario(4, false, &stats, 5, 3);
+      RunScenario(GnnType::kGcn, 4, false, &stats, 5, 3);
   EXPECT_EQ(stats.requests, static_cast<uint64_t>(results.size()));
   EXPECT_EQ(stats.latency.count(), results.size());
   uint64_t hist_requests = 0, hist_batches = 0;
@@ -872,18 +867,6 @@ TEST(ServingConfigTest, ValidateRejectsBadKnobs) {
   EXPECT_FALSE(ValidateServingConfig(c).ok());
   c = ServingConfig();
   c.max_linger_s = -0.1;
-  EXPECT_FALSE(ValidateServingConfig(c).ok());
-  c = ServingConfig();
-  c.active_window_s = 0.0;
-  EXPECT_FALSE(ValidateServingConfig(c).ok());
-  c = ServingConfig();
-  c.firing_window_s = -1.0;
-  EXPECT_FALSE(ValidateServingConfig(c).ok());
-  c = ServingConfig();
-  c.consistency_window_s = 0.0;
-  EXPECT_FALSE(ValidateServingConfig(c).ok());
-  c = ServingConfig();
-  c.rebuild_churn_fraction = 0.0;
   EXPECT_FALSE(ValidateServingConfig(c).ok());
 }
 

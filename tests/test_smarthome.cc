@@ -214,7 +214,10 @@ TEST(EventLog, CleaningDropsNonFiniteReadings) {
   // Readings {20, 21, 22, inf} on one device and {18, NaN, 19, 30, 31} on
   // another: non-finite readings carry no logical value, so the first
   // device is left with too few readings to classify and the second with
-  // four finite ones.
+  // four finite ones. Entries at a non-finite time are dropped as if
+  // absent: a reading of 1000 at NaN would join the second device's Jenks
+  // fit (and class 30 "low"), and state changes at NaN or +-inf would be
+  // kept.
   EventLog log;
   auto reading = [&log](int device_id, double t, double v) {
     LogEntry e;
@@ -226,11 +229,24 @@ TEST(EventLog, CleaningDropsNonFiniteReadings) {
     e.kind = LogKind::kSensorReading;
     log.Append(e);
   };
+  auto state_change = [&log](int device_id, double t, const char* value) {
+    LogEntry e;
+    e.timestamp = t;
+    e.device_id = device_id;
+    e.device = DeviceType::kLight;
+    e.attribute = "switch";
+    e.value = value;
+    log.Append(e);
+  };
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   int t = 0;
   for (double v : {20.0, 21.0, 22.0, inf}) reading(1, t++, v);
   for (double v : {18.0, nan, 19.0, 30.0, 31.0}) reading(2, t++, v);
+  reading(2, nan, 1000.0);
+  state_change(3, nan, "on");
+  state_change(3, inf, "off");
+  state_change(3, -inf, "on");
   const EventLog cleaned = log.Cleaned();
   ASSERT_EQ(cleaned.size(), 2u);
   EXPECT_EQ(cleaned.entries()[0].device_id, 2);
