@@ -34,7 +34,10 @@
 #    Sanitizer (-DFEXIOT_SANITIZE=address,undefined, tests only, in
 #    RelWithDebInfo): any out-of-bounds access, use-after-free, leak or
 #    undefined behaviour fails the run, and libstdc++'s container bounds
-#    assertions are on.
+#    assertions are on. This build drops NDEBUG (its RelWithDebInfo flags
+#    are "-O2 -g"), so it is the one stage that compiles and runs every
+#    assert, the layout and shape checks and the death tests included;
+#    the Release builds of stages 1, 3 and 7 define NDEBUG.
 #
 # Usage: ci/run_tests.sh [build-dir] [tsan-build-dir] [portable-build-dir]
 #                        [asan-build-dir]
@@ -97,14 +100,15 @@ FEXIOT_THREADS=4 "${TSAN_DIR}/tests/test_serving"
 FEXIOT_THREADS=4 "${TSAN_DIR}/tests/test_explain"
 FEXIOT_THREADS=4 "${TSAN_DIR}/tests/test_fusion"
 
-echo "==> [8/8] ASan+UBSan pass (full tier-1 suite, ${ASAN_DIR})"
+echo "==> [8/8] ASan+UBSan pass with assertions on (full tier-1 suite, ${ASAN_DIR})"
 cmake -B "${ASAN_DIR}" -S . \
   -DFEXIOT_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
   -DFEXIOT_BUILD_BENCHMARKS=OFF \
   -DFEXIOT_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "${ASAN_DIR}" -j "${JOBS}"
 ctest --test-dir "${ASAN_DIR}" --output-on-failure -j "${JOBS}"
-echo "    no memory error, leak or undefined behaviour in the suite"
+echo "    no memory error, leak, undefined behaviour or failed assert in the suite"
 
-echo "OK: tier-1 suite green (determinism pinned in-process), dense kernel, explanation row cache and serving parity exact in both build modes, TSAN and ASan+UBSan clean"
+echo "OK: tier-1 suite green (determinism pinned in-process), dense kernel, explanation row cache and serving parity exact in both build modes, TSAN and ASan+UBSan (asserts on) clean"

@@ -253,17 +253,6 @@ std::vector<double> LstmLanguageModel::NextKeyDistribution(
   return Softmax(logits);
 }
 
-bool LstmLanguageModel::InTopK(const std::vector<int>& history, int next,
-                               int k) const {
-  const std::vector<double> dist = NextKeyDistribution(history);
-  const double p_next = dist[static_cast<size_t>(next)];
-  int better = 0;
-  for (double p : dist) {
-    if (p > p_next) ++better;
-  }
-  return better < k;
-}
-
 double LstmLanguageModel::AnomalyRate(const std::vector<int>& sequence,
                                       int k) const {
   if (sequence.size() < 2) return 0.0;

@@ -35,10 +35,6 @@ class LstmLanguageModel {
   std::vector<double> NextKeyDistribution(
       const std::vector<int>& history) const;
 
-  /// \brief True if \p next is within the top-k most likely keys after
-  /// \p history.
-  bool InTopK(const std::vector<int>& history, int next, int k) const;
-
   /// \brief Fraction of transitions of \p sequence that fall outside the
   /// top-k prediction (the DeepLog anomaly rate).
   double AnomalyRate(const std::vector<int>& sequence, int k) const;

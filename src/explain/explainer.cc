@@ -14,8 +14,7 @@ namespace fexiot {
 
 ExplanationResult ShapMcbsExplainer::Explain(const GnnGraphScorer& scorer,
                                              Rng* rng) {
-  const KernelShap shap(
-      KernelShap::Options{options_.shap_samples, /*seed=*/0});
+  const KernelShap shap(KernelShap::Options{options_.shap_samples});
   const RewardFn reward = [&shap, &scorer](const NodeSet& s, Rng* r) {
     return shap.SubgraphShap(scorer, s, r);
   };

@@ -217,7 +217,7 @@ void GnnGraphScorer::Evaluate(const std::vector<std::vector<int>>& node_sets,
 
   // Fill the first-layer activations from the cache.
   const size_t hd = static_cast<size_t>(config.hidden_dim);
-  BatchForwardWorkspace ws;
+  GnnWorkspace ws;
   ws.h.ResizeForOverwrite(total, hd);
   std::vector<size_t> missing;
   {
@@ -245,7 +245,7 @@ void GnnGraphScorer::Evaluate(const std::vector<std::vector<int>>& node_sets,
       if (it.second) distinct.push_back(missing[k]);
       source[k] = it.first->second;
     }
-    BatchForwardWorkspace miss_ws;
+    GnnWorkspace miss_ws;
     FirstLayerRows(prop, row_node, distinct, &miss_ws);
     for (size_t k = 0; k < missing.size(); ++k) {
       const double* row = miss_ws.h.RowPtr(source[k]);
@@ -264,17 +264,18 @@ void GnnGraphScorer::Evaluate(const std::vector<std::vector<int>>& node_sets,
   }
 
   // The layers after the first, and the head, once for the whole stack.
-  std::vector<std::vector<double>> embeddings;
-  model_->ForwardRest(prop, row_offsets, &ws, &embeddings);
+  model_->ForwardRest(prop, row_offsets, &ws.cache, &ws);
+  std::vector<double> embedding;
   for (size_t b = 0; b < slot.size(); ++b) {
-    (*vals)[slot[b]] = head_->PredictProba(embeddings[b]);
+    embedding.assign(ws.emb.RowPtr(b), ws.emb.RowPtr(b) + ws.emb.cols());
+    (*vals)[slot[b]] = head_->PredictProba(embedding);
   }
 }
 
 void GnnGraphScorer::FirstLayerRows(const CsrMatrix& prop,
                                     const std::vector<int>& row_node,
                                     const std::vector<size_t>& rows,
-                                    BatchForwardWorkspace* ws) const {
+                                    GnnWorkspace* ws) const {
   const size_t n = rows.size();
   PreparedGraph g;
   g.num_nodes = static_cast<int>(n);
@@ -314,7 +315,7 @@ void GnnGraphScorer::FirstLayerRows(const CsrMatrix& prop,
     SpMM(CsrMatrix(n, nnz, std::move(ptr), std::move(col), std::move(val)), x,
          &g.input);
   }
-  model_->ForwardFirstLayer(g, {0, n}, ws);
+  model_->ForwardFirstLayer(g, &ws->cache, ws);
 }
 
 }  // namespace fexiot

@@ -151,7 +151,7 @@ class GnnGraphScorer {
   /// (whose row r belongs to graph node row_node[r]) into ws->h.
   void FirstLayerRows(const CsrMatrix& prop, const std::vector<int>& row_node,
                       const std::vector<size_t>& rows,
-                      BatchForwardWorkspace* ws) const;
+                      GnnWorkspace* ws) const;
 
   const GnnModel* model_;
   const SgdClassifier* head_;

@@ -8,6 +8,15 @@
 namespace fexiot {
 namespace {
 
+/// Rollouts selected per wave (the root-parallel fan-out). A *logical*
+/// width: results depend on it but never on FEXIOT_THREADS; the wave's
+/// reward evaluations are what spread over the pool.
+constexpr int kRolloutSlots = 4;
+/// Penalty subtracted per in-wave selection of the same child
+/// (sel = Q + lambda*R - kVirtualLoss * in_wave_picks), steering a wave's
+/// rollouts apart deterministically.
+constexpr double kVirtualLoss = 0.25;
+
 /// All prunings of `s` (drop one node) that stay connected in `g`.
 /// Prunings of a sorted set are sorted, preserving the NodeSet invariant.
 std::vector<NodeSet> ConnectedPrunings(const InteractionGraph& g,
@@ -83,7 +92,6 @@ ExplanationResult ParallelSubgraphSearch(const GnnGraphScorer& scorer,
   const size_t target =
       static_cast<size_t>(std::max(1, options.max_subgraph_nodes));
   const int total_rollouts = std::max(0, options.iterations);
-  const int wave_width = std::max(1, options.rollout_slots);
   const size_t max_cands =
       static_cast<size_t>(std::max(1, 2 * options.beam_width));
   const size_t beam_width =
@@ -160,8 +168,8 @@ ExplanationResult ParallelSubgraphSearch(const GnnGraphScorer& scorer,
   double best_score = -1e18;
 
   for (int wave_start = 0; wave_start < total_rollouts;
-       wave_start += wave_width) {
-    const int wave_n = std::min(wave_width, total_rollouts - wave_start);
+       wave_start += kRolloutSlots) {
+    const int wave_n = std::min(kRolloutSlots, total_rollouts - wave_start);
     ++result.waves;
     std::vector<Slot> slots(static_cast<size_t>(wave_n));
     for (int w = 0; w < wave_n; ++w) {
@@ -232,7 +240,7 @@ ExplanationResult ParallelSubgraphSearch(const GnnGraphScorer& scorer,
           const int picks = picks_it == wave_picks.end() ? 0
                                                          : picks_it->second;
           const double sel = q + options.lambda * slot.cand_rewards[idx] -
-                             options.virtual_loss * picks;
+                             kVirtualLoss * picks;
           if (sel > best_sel) {
             best_sel = sel;
             pick = idx;

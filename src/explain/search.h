@@ -29,7 +29,7 @@ struct ExplanationResult {
   long long tt_hits = 0;
   /// Raw score requests answered by the scorer's memo.
   long long score_memo_hits = 0;
-  /// Rollout waves executed (ceil(iterations / rollout_slots)).
+  /// Rollout waves executed (ceil(iterations / kRolloutSlots)).
   int waves = 0;
 };
 
@@ -47,14 +47,6 @@ struct SearchOptions {
   double lambda = 0.5;
   /// Kernel SHAP samples K (FexIoT) / Shapley MC samples (SubgraphX).
   int shap_samples = 16;
-  /// Rollouts selected per wave (the root-parallel fan-out). This is a
-  /// *logical* width — results depend on it but never on FEXIOT_THREADS;
-  /// the wave's reward evaluations are what actually spread over the pool.
-  int rollout_slots = 4;
-  /// Virtual-loss penalty subtracted per in-wave selection of the same
-  /// child (sel = Q + lambda*R - virtual_loss * in_wave_picks), steering
-  /// concurrent rollouts apart deterministically. 0 disables.
-  double virtual_loss = 0.25;
   /// When false, node rewards are recomputed at every visit instead of
   /// being served from the transposition table — the memo-free reference
   /// mode (identical results, since rewards are pure per subset; used by
@@ -112,13 +104,13 @@ using RewardBatchFn = std::function<void(const std::vector<NodeSet>& subsets,
 /// subgraphs — the shared core behind ShapMcbs/SubgraphX/MctsGnn
 /// (Algorithm 2 skeleton, parallelized per docs/EXPLAIN.md §5).
 ///
-/// Rollouts run in *waves* of `rollout_slots` logical slots. Each wave:
+/// Rollouts run in *waves* of kRolloutSlots (4) logical slots. Each wave:
 ///  1. serial level-synchronous descent planning: every slot draws its
 ///     candidate prunings from its own counter stream;
 ///  2. parallel evaluation of the level's distinct unknown rewards over
 ///     `parallel::For` (or one `RewardBatchFn` call);
 ///  3. serial selection in slot order: each slot picks the beam candidate
-///     maximizing Q + lambda*R - virtual_loss * in-wave picks;
+///     maximizing Q + lambda*R - kVirtualLoss (0.25) * in-wave picks;
 ///  4. serial backup of leaf rewards in slot order.
 /// All cross-slot interaction is serial and every stochastic draw is
 /// counter-derived (`Rng::ForkAt`), so the selected subgraph, score, and

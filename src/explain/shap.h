@@ -24,7 +24,6 @@ class KernelShap {
   struct Options {
     /// Coalition samples K (Algorithm 2's "kernel SHAP samples").
     int num_samples = 24;
-    uint64_t seed = 61;
   };
 
   explicit KernelShap(Options options) : options_(options) {}

@@ -24,7 +24,7 @@ Status ValidateFlConfig(const FlConfig& config) {
   if (config.num_rounds <= 0) {
     return Status::InvalidArgument("FlConfig: num_rounds must be > 0");
   }
-  if (config.epsilon1 < 0.0 || config.epsilon2 < 0.0) {
+  if (!(config.epsilon1 >= 0.0 && config.epsilon2 >= 0.0)) {
     return Status::InvalidArgument(
         "FlConfig: epsilon1/epsilon2 must be >= 0");
   }

@@ -40,8 +40,8 @@ Status ValidateScaleConfig(const ScaleFlConfig& config) {
   if (config.client.graphs_per_client < 2)
     return Status::InvalidArgument(
         "graphs_per_client must be >= 2 (local test split)");
-  if (config.client.local_train_fraction <= 0.0 ||
-      config.client.local_train_fraction >= 1.0)
+  if (!(config.client.local_train_fraction > 0.0 &&
+        config.client.local_train_fraction < 1.0))
     return Status::InvalidArgument(
         "local_train_fraction must be in (0, 1)");
   if (config.client.num_clusters < 0)

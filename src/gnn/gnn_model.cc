@@ -24,13 +24,10 @@ const char* GnnTypeName(GnnType type) {
 namespace {
 
 /// [mean | max] pooling over rows [r0, r1) of \p hf into \p pooled
-/// (2 * hf.cols() doubles). \p argmax, when non-null, records the
-/// absolute row index of each column max. Shared by the per-graph
-/// forward (full row range) and the batched block-diagonal forward (one
-/// call per block), which keeps the two readouts bit-identical by
-/// construction.
+/// (2 * hf.cols() doubles); \p argmax (hf.cols() entries) receives the
+/// absolute row index of each column max.
 void PoolMeanMaxRows(const Matrix& hf, size_t r0, size_t r1, double* pooled,
-                     std::vector<size_t>* argmax) {
+                     size_t* argmax) {
   assert(r1 > r0);
   const size_t hd = hf.cols();
   // Column means, matching ColumnMean's sum-then-scale arithmetic.
@@ -51,7 +48,7 @@ void PoolMeanMaxRows(const Matrix& hf, size_t r0, size_t r1, double* pooled,
       }
     }
     pooled[hd + c] = best;
-    if (argmax != nullptr) (*argmax)[c] = best_row;
+    argmax[c] = best_row;
   }
 }
 
@@ -232,72 +229,36 @@ void GnnModel::InputProjectionInto(const PreparedGraph& g, Matrix* pre,
   ReluInto(*pre, post);
 }
 
-const std::vector<double>& GnnModel::ForwardImpl(const PreparedGraph& g,
-                                                 ForwardCache& cache,
-                                                 GnnWorkspace* ws) const {
-  assert(g.num_nodes > 0);
-  assert(ws != nullptr);
-  cache.graph = &g;
-
-  const size_t readout_index = layers_.size() - 1;
-  const bool magnn = config_.type == GnnType::kMagnn;
-  const size_t first_mp = magnn ? 1 : 0;
+void GnnModel::ShapeCache(ForwardCache* cache) const {
   // pre[l] is layer l's pre-activation (MAGNN's projection occupies
   // pre[0]); prop[k] is the propagated input of mp layer first_mp + k.
   // Resizing the vectors is a one-time cost per cache; the matrices
   // inside resize in place.
-  if (cache.pre.size() != readout_index) cache.pre.resize(readout_index);
-  const size_t mp_layers = readout_index - first_mp;
-  if (cache.prop.size() != mp_layers) cache.prop.resize(mp_layers);
-
-  // h is the current activation; ws->h holds every one past the input.
-  const Matrix* h = nullptr;
-  if (magnn) {
-    InputProjectionInto(g, &cache.pre[0], &ws->h);
-    h = &ws->h;
-  }
-
-  for (size_t l = first_mp; l < readout_index; ++l) {
-    // GCN/GIN layer 0 reads P X straight from the prepared graph.
-    const Matrix* m = &g.input;
-    if (l > 0) {
-      Matrix& prop = cache.prop[l - first_mp];
-      SpMM(g.prop_csr, *h, &prop);
-      m = &prop;
-    }
-    Matrix& z = cache.pre[l];
-    MatMulInto(*m, layers_[l].params[0], &z);
-    AddBiasRow(&z, layers_[l].params[1]);
-    ReluInto(z, &ws->h);
-    h = &ws->h;
-  }
-
-  // [mean | max] readout.
-  const Matrix& hf = *h;
-  const size_t hd = hf.cols();
-  cache.pooled.ResizeForOverwrite(1, 2 * hd);
-  cache.argmax.assign(hd, 0);
-  PoolMeanMaxRows(hf, 0, hf.rows(), cache.pooled.RowPtr(0), &cache.argmax);
-  MatMulInto(cache.pooled, layers_[readout_index].params[0], &ws->emb);
-  AddBiasRow(&ws->emb, layers_[readout_index].params[1]);
-
-  cache.embedding.assign(ws->emb.RowPtr(0), ws->emb.RowPtr(0) + ws->emb.cols());
-  return cache.embedding;
+  const size_t readout_index = layers_.size() - 1;
+  const size_t first_mp = config_.type == GnnType::kMagnn ? 1 : 0;
+  cache->pre.resize(readout_index);
+  cache->prop.resize(readout_index - first_mp);
 }
 
 std::vector<double> GnnModel::Forward(const PreparedGraph& g,
                                       ForwardCache* cache) const {
   GnnWorkspace local;
-  ForwardCache* effective = cache != nullptr ? cache : &local.cache;
-  return ForwardImpl(g, *effective, &local);
+  return Forward(g, cache, &local);
 }
 
 const std::vector<double>& GnnModel::Forward(const PreparedGraph& g,
                                              ForwardCache* cache,
                                              GnnWorkspace* ws) const {
+  assert(g.num_nodes > 0);
   assert(ws != nullptr);
   ForwardCache* effective = cache != nullptr ? cache : &ws->cache;
-  return ForwardImpl(g, *effective, ws);
+  effective->graph = &g;
+  const size_t rows[] = {0, static_cast<size_t>(g.num_nodes)};
+  ForwardFirstLayer(g, effective, ws);
+  ForwardRest(g.prop_csr, rows, effective, ws);
+  effective->embedding.assign(ws->emb.RowPtr(0),
+                              ws->emb.RowPtr(0) + ws->emb.cols());
+  return effective->embedding;
 }
 
 void AssembleGraphBatch(const std::vector<const PreparedGraph*>& graphs,
@@ -346,67 +307,70 @@ void AssembleGraphBatch(const std::vector<const PreparedGraph*>& graphs,
   }
 }
 
-void GnnModel::ForwardBatch(const GraphBatch& batch, BatchForwardWorkspace* ws,
+void GnnModel::ForwardBatch(const GraphBatch& batch, GnnWorkspace* ws,
                             std::vector<std::vector<double>>* embeddings) const {
   assert(ws != nullptr && embeddings != nullptr);
   embeddings->resize(batch.size());
   if (batch.size() == 0) return;
   assert(batch.stacked.num_nodes > 0);
-  ForwardFirstLayer(batch.stacked, batch.row_offsets, ws);
-  ForwardRest(batch.stacked.prop_csr, batch.row_offsets, ws, embeddings);
+  ForwardFirstLayer(batch.stacked, &ws->cache, ws);
+  ForwardRest(batch.stacked.prop_csr, batch.row_offsets, &ws->cache, ws);
+  for (size_t b = 0; b < batch.size(); ++b) {
+    (*embeddings)[b].assign(ws->emb.RowPtr(b),
+                            ws->emb.RowPtr(b) + ws->emb.cols());
+  }
 }
 
-void GnnModel::ForwardFirstLayer(const PreparedGraph& g,
-                                 const std::vector<size_t>& row_offsets,
-                                 BatchForwardWorkspace* ws) const {
-  assert(ws != nullptr);
+void GnnModel::ForwardFirstLayer(const PreparedGraph& g, ForwardCache* cache,
+                                 GnnWorkspace* ws) const {
+  assert(cache != nullptr && ws != nullptr);
+  ShapeCache(cache);
   if (config_.type == GnnType::kMagnn) {
-    InputProjectionInto(g, &ws->pre, &ws->h);
+    InputProjectionInto(g, &cache->pre[0], &ws->h);
     return;
   }
-  // GCN/GIN layer 0 reads the stacked P X rows. Each block is multiplied
-  // as a standalone product, as the per-graph Forward does.
-  MatMulBlocksInto(g.input, layers_[0].params[0], row_offsets, &ws->z);
-  AddBiasRow(&ws->z, layers_[0].params[1]);
-  ReluInto(ws->z, &ws->h);
+  // GCN/GIN layer 0 reads the prepared P X rows.
+  Matrix& z = cache->pre[0];
+  MatMulInto(g.input, layers_[0].params[0], &z);
+  AddBiasRow(&z, layers_[0].params[1]);
+  ReluInto(z, &ws->h);
 }
 
 void GnnModel::ForwardRest(const CsrMatrix& prop,
-                           const std::vector<size_t>& row_offsets,
-                           BatchForwardWorkspace* ws,
-                           std::vector<std::vector<double>>* embeddings) const {
-  assert(ws != nullptr && embeddings != nullptr);
+                           std::span<const size_t> row_offsets,
+                           ForwardCache* cache, GnnWorkspace* ws) const {
+  assert(cache != nullptr && ws != nullptr);
   assert(!row_offsets.empty() && prop.rows() == row_offsets.back() &&
          ws->h.rows() == prop.rows());
-  const size_t batch_size = row_offsets.size() - 1;
-  embeddings->resize(batch_size);
+  ShapeCache(cache);
   const size_t readout_index = layers_.size() - 1;
+  const size_t first_mp = config_.type == GnnType::kMagnn ? 1 : 0;
   // Layer 0 (MAGNN: the input projection) already ran; every layer left
-  // is a message-passing layer.
+  // is a message-passing layer. One SpMM over the block-diagonal CSR
+  // propagates every graph: each stacked row accumulates exactly its
+  // block's ascending-column entries, so per-row bits match the per-graph
+  // SpMM, and the dense product computes each row on its own.
   for (size_t l = 1; l < readout_index; ++l) {
-    // One SpMM over the block-diagonal CSR propagates every graph in the
-    // batch: each stacked row accumulates exactly its block's ascending-
-    // column entries, so per-row bits match the per-graph SpMM. The dense
-    // transform multiplies each block as a standalone product, so each
-    // graph's rows get the bits its own Forward computes.
-    SpMM(prop, ws->h, &ws->m);
-    MatMulBlocksInto(ws->m, layers_[l].params[0], row_offsets, &ws->z);
-    AddBiasRow(&ws->z, layers_[l].params[1]);
-    ReluInto(ws->z, &ws->h);
+    Matrix& m = cache->prop[l - first_mp];
+    SpMM(prop, ws->h, &m);
+    Matrix& z = cache->pre[l];
+    MatMulInto(m, layers_[l].params[0], &z);
+    AddBiasRow(&z, layers_[l].params[1]);
+    ReluInto(z, &ws->h);
   }
 
-  // Per-graph [mean | max] readout over the graph's stacked row range.
-  const Matrix& h = ws->h;
-  const size_t hd = h.cols();
-  ws->pooled.ResizeForOverwrite(1, 2 * hd);
+  // Per-graph [mean | max] readout over the graph's stacked row range,
+  // then one readout product for every graph's pooled row.
+  const size_t batch_size = row_offsets.size() - 1;
+  const size_t hd = ws->h.cols();
+  cache->pooled.ResizeForOverwrite(batch_size, 2 * hd);
+  cache->argmax.resize(batch_size * hd);
   for (size_t b = 0; b < batch_size; ++b) {
-    PoolMeanMaxRows(h, row_offsets[b], row_offsets[b + 1],
-                    ws->pooled.RowPtr(0), nullptr);
-    MatMulInto(ws->pooled, layers_[readout_index].params[0], &ws->emb);
-    AddBiasRow(&ws->emb, layers_[readout_index].params[1]);
-    (*embeddings)[b].assign(ws->emb.RowPtr(0),
-                            ws->emb.RowPtr(0) + ws->emb.cols());
+    PoolMeanMaxRows(ws->h, row_offsets[b], row_offsets[b + 1],
+                    cache->pooled.RowPtr(b), cache->argmax.data() + b * hd);
   }
+  MatMulInto(cache->pooled, layers_[readout_index].params[0], &ws->emb);
+  AddBiasRow(&ws->emb, layers_[readout_index].params[1]);
 }
 
 void GnnModel::Backward(const ForwardCache& cache,

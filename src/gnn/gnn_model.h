@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -111,10 +112,15 @@ inline double GcnPropagationValue(double scale_i, double scale_j) {
 }
 
 /// \brief Activation/pre-activation caches recorded by a forward pass,
-/// consumed by Backward(). Matrices are resized in place on reuse, so a
-/// cache bound repeatedly (e.g. one per in-flight contrastive pair)
-/// stops allocating once it has seen its peak graph size.
+/// consumed by Backward(). Every forward records into one: Forward into
+/// the cache its caller passes (training keeps one per graph of a
+/// contrastive pair), every other forward into its workspace's own.
+/// Matrices are resized in place on reuse, so a cache bound repeatedly
+/// stops allocating once it has seen its peak graph size. A batch of B
+/// graphs records the stacked rows of all B (Backward reads only
+/// one-graph caches, B = 1).
 struct ForwardCache {
+  /// The graph of the last Forward through this cache (Backward's input).
   const PreparedGraph* graph = nullptr;
   std::vector<Matrix> pre;    ///< pre-activation per layer
   /// prop[k] is P H, the propagated input of message-passing layer
@@ -122,24 +128,26 @@ struct ForwardCache {
   /// For GCN/GIN, prop[0] is left empty — P X is the prepared graph's
   /// input, read in place rather than copied per call.
   std::vector<Matrix> prop;
-  Matrix pooled;              ///< 1 x 2*hidden [mean | max] readout
-  std::vector<size_t> argmax; ///< row index of the max per hidden dim
-  std::vector<double> embedding;
+  Matrix pooled;  ///< B x 2*hidden [mean | max] readout, one row per graph
+  /// Stacked row index of the max per graph and hidden dim (B x hidden).
+  std::vector<size_t> argmax;
+  std::vector<double> embedding;  ///< Forward's result
 };
 
-/// \brief Reusable scratch for the allocation-free train/infer hot path.
+/// \brief Reusable scratch for every forward and backward.
 ///
 /// One workspace per concurrently-forwarding worker (they must not be
 /// shared across threads mid-call). Every matrix grows to its peak shape
 /// and is then reused; after this warmup, Forward/Backward perform zero
-/// heap allocations per graph. Includes a scratch ForwardCache for
-/// callers that don't need to keep activations (embedding extraction).
-/// The forward's propagation products land in the cache, where Backward
-/// reads them; the workspace keeps only the current activation.
+/// heap allocations per graph. Its cache records the forwards whose
+/// caller passes none (inference: embedding extraction, ForwardBatch,
+/// serving, the explanation scorer). The workspace keeps only the
+/// current activation and the readout; everything Backward reads lands
+/// in the cache.
 struct GnnWorkspace {
   ForwardCache cache;  ///< used when the caller passes no cache of its own
-  Matrix h;            ///< current layer activation H (forward)
-  Matrix emb;          ///< 1 x embedding_dim readout scratch
+  Matrix h;            ///< current layer activation H, every stacked row
+  Matrix emb;          ///< B x embedding_dim readout, one row per graph
   // Backward scratch.
   Matrix demb, dpooled, dh, dz, tmp, gw, gb;
 };
@@ -168,20 +176,6 @@ struct GraphBatch {
 void AssembleGraphBatch(const std::vector<const PreparedGraph*>& graphs,
                         const GnnConfig& config, GraphBatch* out);
 
-/// \brief Reusable scratch for ForwardBatch (one per concurrently
-/// forwarding worker; matrices grow to peak batch shape, then stop
-/// allocating).
-struct BatchForwardWorkspace {
-  /// Activation (total_nodes x hidden): ForwardFirstLayer's output and
-  /// ForwardRest's input.
-  Matrix h;
-  Matrix m;       ///< propagation product P * H (layers past the input)
-  Matrix z;       ///< pre-activation
-  Matrix pre;     ///< MAGNN input-projection pre-activation
-  Matrix pooled;  ///< 1 x 2*hidden per-graph readout scratch
-  Matrix emb;     ///< 1 x embedding_dim readout scratch
-};
-
 /// \brief Graph neural network with explicit manual backpropagation, a
 /// [mean | max] pooling readout (max pooling preserves the few-node
 /// vulnerability witnesses that mean pooling dilutes in large graphs) and
@@ -206,52 +200,48 @@ class GnnModel {
   std::vector<double> Forward(const PreparedGraph& g,
                               ForwardCache* cache) const;
 
-  /// \brief Workspace forward: scratch comes from \p ws (its cache is
-  /// used when \p cache is null), and the returned reference aliases the
-  /// effective cache's embedding — valid until the next forward through
-  /// that cache. Bit-identical to the allocating overload; performs no
-  /// heap allocation once the workspace is warm.
+  /// \brief Workspace forward: ForwardFirstLayer then ForwardRest on \p g
+  /// as a batch of one. Scratch comes from \p ws (its cache is used when
+  /// \p cache is null), and the returned reference aliases the effective
+  /// cache's embedding — valid until the next forward through that cache.
+  /// Bit-identical to the allocating overload; performs no heap
+  /// allocation once the workspace and cache are warm.
   const std::vector<double>& Forward(const PreparedGraph& g,
                                      ForwardCache* cache,
                                      GnnWorkspace* ws) const;
 
-  /// \brief Batched block-diagonal inference: one propagation SpMM and
-  /// one row-blocked dense transform per layer for the whole batch, then
-  /// a per-graph [mean | max] readout. Embedding b is bit-identical to
-  /// Forward(*graphs[b], ...) — the stacked CSR preserves each output
-  /// row's accumulation order, the dense transform multiplies each block
-  /// as a standalone product, and pooling/readout share the per-graph
-  /// code paths. Inference only (no caches recorded); \p embeddings is
-  /// resized to the batch size. It is ForwardFirstLayer on the stacked
-  /// graph followed by ForwardRest.
-  void ForwardBatch(const GraphBatch& batch, BatchForwardWorkspace* ws,
+  /// \brief Batched block-diagonal inference: ForwardFirstLayer on the
+  /// stacked graph, then ForwardRest, recorded in ws->cache; \p embeddings
+  /// is resized to the batch size. Embedding b is bit-identical to
+  /// Forward(*graphs[b], ...): the stacked CSR preserves each output row's
+  /// accumulation order, every dense product computes each row on its own
+  /// (docs/KERNELS.md §3), and each graph's readout pools only its rows.
+  void ForwardBatch(const GraphBatch& batch, GnnWorkspace* ws,
                     std::vector<std::vector<double>>* embeddings) const;
 
-  /// \brief The first half of ForwardBatch: parameter layer 0 on every
-  /// row of \p g into ws->h. That is relu((P X) W0 + b0) for GCN/GIN, one
-  /// dense product per block of \p row_offsets (B+1 ascending entries
-  /// covering g's rows), and the per-space input projection for MAGNN.
-  /// Row r of ws->h depends only on row r of g's inputs (its P X row;
-  /// for MAGNN its X or hetero row and its space): the dense kernel
-  /// computes each element as its own chain over ascending k
+  /// \brief The first half of every forward: parameter layer 0 on every
+  /// row of \p g into ws->h, its pre-activation into cache->pre[0]. That
+  /// is relu((P X) W0 + b0) for GCN/GIN and the per-space input projection
+  /// for MAGNN. Row r of ws->h depends only on row r of g's inputs (its
+  /// P X row; for MAGNN its X or hetero row and its space): the dense
+  /// kernel computes each element as its own chain over ascending k
   /// (docs/KERNELS.md §3), bias and ReLU are element-wise, and the
   /// projection runs node by node. So a row computed in any batch, at any
   /// position, has the same bits; the explanation scorer caches rows on
   /// that basis.
-  void ForwardFirstLayer(const PreparedGraph& g,
-                         const std::vector<size_t>& row_offsets,
-                         BatchForwardWorkspace* ws) const;
+  void ForwardFirstLayer(const PreparedGraph& g, ForwardCache* cache,
+                         GnnWorkspace* ws) const;
 
-  /// \brief The second half of ForwardBatch. On entry ws->h holds the
+  /// \brief The second half of every forward. On entry ws->h holds the
   /// first-layer activations of a block-diagonal batch whose stacked
   /// propagation matrix is \p prop and whose graph b owns rows
   /// [row_offsets[b], row_offsets[b+1]) (every block non-empty). Runs the
-  /// remaining message-passing layers and the per-graph [mean | max]
-  /// readout; \p embeddings is resized to the batch size.
-  void ForwardRest(const CsrMatrix& prop,
-                   const std::vector<size_t>& row_offsets,
-                   BatchForwardWorkspace* ws,
-                   std::vector<std::vector<double>>* embeddings) const;
+  /// remaining message-passing layers, recording each one's P H and
+  /// pre-activation in \p cache, then the per-graph [mean | max] readout
+  /// (cache->pooled row b, cache->argmax) and the readout projection:
+  /// row b of ws->emb is graph b's embedding.
+  void ForwardRest(const CsrMatrix& prop, std::span<const size_t> row_offsets,
+                   ForwardCache* cache, GnnWorkspace* ws) const;
 
   /// \brief Accumulates parameter gradients given dL/d(embedding).
   void Backward(const ForwardCache& cache,
@@ -293,9 +283,8 @@ class GnnModel {
     std::vector<Matrix> grads;
   };
 
-  const std::vector<double>& ForwardImpl(const PreparedGraph& g,
-                                         ForwardCache& cache,
-                                         GnnWorkspace* ws) const;
+  /// Sizes \p cache's per-layer vectors for this model.
+  void ShapeCache(ForwardCache* cache) const;
   void InputProjectionInto(const PreparedGraph& g, Matrix* pre,
                            Matrix* post) const;
 

@@ -39,13 +39,4 @@ bool FaultModel::Alive(int round, int client) {
   return false;
 }
 
-bool FaultModel::DropsUpdate(int round, int client, int attempt) const {
-  const ClientFaultProfile& p = profile(client);
-  if (p.drop_update_prob <= 0.0) return false;
-  Rng r = base_.ForkAt(MixKey(static_cast<uint64_t>(round) + 1,
-                              static_cast<uint64_t>(client) + 1, /*salt=*/4,
-                              static_cast<uint64_t>(attempt) + 1));
-  return r.Bernoulli(p.drop_update_prob);
-}
-
 }  // namespace fexiot

@@ -16,12 +16,9 @@ struct ClientFaultProfile {
   double crash_prob = 0.0;
   /// Rounds a crashed client stays offline before rejoining.
   int rejoin_rounds = 1;
-  /// Probability a finished update is dropped client-side (e.g. app
-  /// killed mid-upload) — indistinguishable from uplink loss to the server.
-  double drop_update_prob = 0.0;
 };
 
-/// \brief Stateful crash/rejoin + stateless straggler/drop injection.
+/// \brief Stateful crash/rejoin + stateless straggler injection.
 ///
 /// Crash draws are counter-based (Rng::ForkAt keyed on (round, client)),
 /// so whether client c crashes in round r is a pure function of the seed —
@@ -44,9 +41,6 @@ class FaultModel {
   /// Applies the crash draw for (round, client) and the rejoin window.
   /// Must be called exactly once per client per round, in client order.
   bool Alive(int round, int client);
-
-  /// Whether the client drops its finished update on attempt \p attempt.
-  bool DropsUpdate(int round, int client, int attempt) const;
 
   double Slowdown(int client) const { return profile(client).slowdown; }
 

@@ -5,12 +5,12 @@
 namespace fexiot {
 
 Status ValidateLinkModel(const LinkModel& link, const std::string& what) {
-  if (link.latency_s < 0.0 || link.bandwidth_bps < 0.0 ||
-      link.jitter_s < 0.0) {
+  if (!(link.latency_s >= 0.0 && link.bandwidth_bps >= 0.0 &&
+        link.jitter_s >= 0.0)) {
     return Status::InvalidArgument(what +
                                    ": latency/bandwidth/jitter must be >= 0");
   }
-  if (link.loss_prob < 0.0 || link.loss_prob >= 1.0) {
+  if (!(link.loss_prob >= 0.0 && link.loss_prob < 1.0)) {
     return Status::InvalidArgument(what + ": loss_prob must be in [0, 1)");
   }
   return Status::OK();

@@ -29,17 +29,13 @@ namespace {
 constexpr double kBackoffFactor = 2.0;
 
 Status ValidateFault(const ClientFaultProfile& fault, const char* what) {
-  if (fault.slowdown <= 0.0) {
+  if (!(fault.slowdown > 0.0)) {
     return Status::InvalidArgument(std::string(what) +
                                    ": slowdown must be > 0");
   }
-  if (fault.crash_prob < 0.0 || fault.crash_prob >= 1.0) {
+  if (!(fault.crash_prob >= 0.0 && fault.crash_prob < 1.0)) {
     return Status::InvalidArgument(std::string(what) +
                                    ": crash_prob must be in [0, 1)");
-  }
-  if (fault.drop_update_prob < 0.0 || fault.drop_update_prob >= 1.0) {
-    return Status::InvalidArgument(std::string(what) +
-                                   ": drop_update_prob must be in [0, 1)");
   }
   if (fault.rejoin_rounds < 1) {
     return Status::InvalidArgument(std::string(what) +
@@ -51,24 +47,25 @@ Status ValidateFault(const ClientFaultProfile& fault, const char* what) {
 }  // namespace
 
 Status ValidateRuntimeConfig(const RuntimeConfig& config) {
-  if (config.policy == RoundPolicy::kDeadline && config.deadline_s <= 0.0) {
+  // Every floating-point check is written so that NaN fails it.
+  if (config.policy == RoundPolicy::kDeadline && !(config.deadline_s > 0.0)) {
     return Status::InvalidArgument(
         "runtime: deadline policy requires deadline_s > 0");
   }
-  if (config.target_fraction <= 0.0 || config.target_fraction > 1.0) {
+  if (!(config.target_fraction > 0.0 && config.target_fraction <= 1.0)) {
     return Status::InvalidArgument(
         "runtime: target_fraction must be in (0, 1]");
   }
-  if (config.adaptive_deadline_quantile < 0.0 ||
-      config.adaptive_deadline_quantile >= 1.0) {
+  if (!(config.adaptive_deadline_quantile >= 0.0 &&
+        config.adaptive_deadline_quantile < 1.0)) {
     return Status::InvalidArgument(
         "runtime: adaptive_deadline_quantile must be in [0, 1)");
   }
-  if (config.over_selection < 1.0) {
+  if (!(config.over_selection >= 1.0)) {
     return Status::InvalidArgument("runtime: over_selection must be >= 1");
   }
   if (config.policy == RoundPolicy::kTimeoutRetry &&
-      config.retry_timeout_s <= 0.0) {
+      !(config.retry_timeout_s > 0.0)) {
     return Status::InvalidArgument(
         "runtime: timeout-retry policy requires retry_timeout_s > 0");
   }
@@ -82,15 +79,15 @@ Status ValidateRuntimeConfig(const RuntimeConfig& config) {
   for (const LinkModel& l : config.down_links) {
     lossy_down = lossy_down || l.loss_prob > 0.0;
   }
-  if (lossy_down && config.refetch_timeout_s <= 0.0) {
+  if (lossy_down && !(config.refetch_timeout_s > 0.0)) {
     return Status::InvalidArgument(
         "runtime: lossy downlinks require refetch_timeout_s > 0");
   }
-  if (config.async_alpha0 <= 0.0 || config.async_alpha0 > 1.0) {
+  if (!(config.async_alpha0 > 0.0 && config.async_alpha0 <= 1.0)) {
     return Status::InvalidArgument(
         "runtime: async_alpha0 must be in (0, 1]");
   }
-  if (config.async_staleness_exponent < 0.0) {
+  if (!(config.async_staleness_exponent >= 0.0)) {
     return Status::InvalidArgument(
         "runtime: async_staleness_exponent must be >= 0");
   }
@@ -98,11 +95,11 @@ Status ValidateRuntimeConfig(const RuntimeConfig& config) {
     return Status::InvalidArgument(
         "runtime: semi_async_tiers must be >= 1");
   }
-  if (config.speed_ewma_beta <= 0.0 || config.speed_ewma_beta > 1.0) {
+  if (!(config.speed_ewma_beta > 0.0 && config.speed_ewma_beta <= 1.0)) {
     return Status::InvalidArgument(
         "runtime: speed_ewma_beta must be in (0, 1]");
   }
-  if (config.train_seconds_per_graph < 0.0) {
+  if (!(config.train_seconds_per_graph >= 0.0)) {
     return Status::InvalidArgument(
         "runtime: train_seconds_per_graph must be >= 0");
   }
@@ -196,8 +193,7 @@ void FederatedRuntime::SendUpload(EventQueue* queue, RoundOutcome* outcome,
   const double duration = network_.TransferSeconds(
       round, client, LinkDirection::kUp, attempt, upload_bytes);
   const bool lost =
-      network_.LostInTransit(round, client, LinkDirection::kUp, attempt) ||
-      faults_.DropsUpdate(round, client, attempt);
+      network_.LostInTransit(round, client, LinkDirection::kUp, attempt);
   queue->Schedule(send_time + duration,
                   lost ? EventKind::kUploadLost : EventKind::kUploadArrive,
                   client, attempt);

@@ -16,8 +16,8 @@ Status ValidateTreeTopology(const TreeTopologyConfig& config) {
     return Status::InvalidArgument(
         "topology: regional_fanout requires edge_fanout > 0");
   }
-  if (config.aggregator_crash_prob < 0.0 ||
-      config.aggregator_crash_prob >= 1.0) {
+  if (!(config.aggregator_crash_prob >= 0.0 &&
+        config.aggregator_crash_prob < 1.0)) {
     return Status::InvalidArgument(
         "topology: aggregator_crash_prob must be in [0, 1)");
   }

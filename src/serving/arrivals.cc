@@ -11,7 +11,7 @@ Status ValidateArrivalConfig(const ArrivalConfig& config) {
   if (!(config.burst_factor >= 1.0)) {
     return Status::InvalidArgument("arrivals: burst_factor must be >= 1");
   }
-  if (config.burst_fraction < 0.0 || config.burst_fraction >= 1.0) {
+  if (!(config.burst_fraction >= 0.0 && config.burst_fraction < 1.0)) {
     return Status::InvalidArgument(
         "arrivals: burst_fraction must be in [0, 1)");
   }

@@ -27,7 +27,8 @@ Status ValidateServingConfig(const ServingConfig& config) {
   if (config.max_batch > 4096) {
     return Status::InvalidArgument("serving: max_batch must be <= 4096");
   }
-  if (config.max_linger_s < 0.0) {
+  // NaN fails the check: a NaN linger deadline would never pass.
+  if (!(config.max_linger_s >= 0.0)) {
     return Status::InvalidArgument("serving: max_linger_s must be >= 0");
   }
   return Status::OK();
@@ -427,7 +428,7 @@ void StreamingDetectionEngine::Dispatch(
   for (const PendingRequest& p : pending_) graphs.push_back(&slots_[p.slot]);
   AssembleGraphBatch(graphs, model_->config(), &batch_);
   Stopwatch sw;
-  model_->ForwardBatch(batch_, &batch_ws_, &batch_embeddings_);
+  model_->ForwardBatch(batch_, &ws_, &batch_embeddings_);
   const double wall = sw.ElapsedSeconds();
   stats_.RecordBatch(size);
   for (size_t k = 0; k < size; ++k) {

@@ -209,8 +209,7 @@ class StreamingDetectionEngine {
   std::vector<PendingRequest> pending_;
   std::vector<PreparedGraph> slots_;  ///< reused snapshot storage
   GraphBatch batch_;                  ///< reused batch assembly
-  BatchForwardWorkspace batch_ws_;
-  GnnWorkspace ws_;  ///< classic path scratch (max_batch == 1)
+  GnnWorkspace ws_;  ///< scratch of every forward, batched or not
   Matrix raw_;       ///< FillPreparedInput's X staging (GCN/GIN)
   std::vector<std::vector<double>> batch_embeddings_;
 

@@ -24,6 +24,10 @@ namespace fexiot {
 ///    zero-skipped products in the same ascending order, with the same
 ///    floating-point flags (tests/test_kernels.cc). So it is also the same
 ///    for every thread count.
+///  - Row independence: row i of C depends only on row i of A and on B,
+///    so rows stacked from several graphs get the bits each would get in
+///    its own product (docs/KERNELS.md §3). Every batched forward relies
+///    on it.
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
 /// \brief C = A^T * B without materializing the transpose (A is stored
@@ -56,16 +60,6 @@ Matrix ReferenceMatMulTransB(const Matrix& a, const Matrix& b);
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c);
 void MatMulTransAInto(const Matrix& a, const Matrix& b, Matrix* c);
 void MatMulTransBInto(const Matrix& a, const Matrix& b, Matrix* c);
-
-/// \brief Row-blocked product for batched block-diagonal inference:
-/// computes C = A * B where A's rows are partitioned into horizontal
-/// blocks by \p row_offsets (B+1 ascending entries, front() == 0,
-/// back() == a.rows()), and each block [r0, r1) is multiplied as if it
-/// were a standalone n_b x k matrix, so block b's output rows are
-/// bit-identical to MatMulInto(rows r0..r1 of A, B). Same aliasing /
-/// thread-safety contracts as MatMulInto.
-void MatMulBlocksInto(const Matrix& a, const Matrix& b,
-                      const std::vector<size_t>& row_offsets, Matrix* c);
 
 /// \brief Adds a 1 x cols bias row to every row of \p m, in place.
 /// \p bias must not alias \p m (use a copy to broadcast a row of m).

@@ -91,7 +91,7 @@ TEST(KernelShap, LinearGameRecoversMarginals) {
       f.gen.GenerateVulnerable(VulnerabilityType::kActionLoop);
   ASSERT_GE(g.num_nodes(), 4);
   GnnGraphScorer scorer(&f.model, &f.head, &g);
-  KernelShap shap(KernelShap::Options{32, 77});
+  KernelShap shap(KernelShap::Options{32});
   Rng rng(78);
   const double witness_phi = shap.SubgraphShap(scorer, g.witness(), &rng);
   // A singleton far from the witness.
@@ -412,7 +412,6 @@ TEST(ParallelSearch, ThreadCountDoesNotChangeExplanationBits) {
   opt.beam_width = 3;
   opt.max_subgraph_nodes = 3;
   opt.shap_samples = 8;
-  opt.rollout_slots = 4;
   for (const uint64_t seed : {101u, 202u, 303u}) {
     const InteractionGraph g =
         MakeGraph(seed, VulnerabilityType::kActionConflict);
@@ -463,7 +462,6 @@ TEST(ParallelSearch, TranspositionTableMatchesMemoFreeReference) {
   tt_opt.beam_width = 3;
   tt_opt.max_subgraph_nodes = 3;
   tt_opt.shap_samples = 8;
-  tt_opt.rollout_slots = 4;
   SearchOptions ref_opt = tt_opt;
   ref_opt.reuse_rewards = false;
   for (const uint64_t seed : {11u, 22u, 33u}) {

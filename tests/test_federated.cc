@@ -103,6 +103,23 @@ TEST(ValidateFlConfig, RejectsBadValues) {
   }
 }
 
+TEST(ValidateFlConfig, RejectsNaNInEveryFloatingKnob) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  void (*const cases[])(FlConfig*) = {
+      [](FlConfig* c) { c->epsilon1 = kNaN; },
+      [](FlConfig* c) { c->epsilon2 = kNaN; },
+      // The runtime's and the local trainer's knobs, through the same entry.
+      [](FlConfig* c) { c->runtime.default_fault.slowdown = kNaN; },
+      [](FlConfig* c) { c->local.margin = kNaN; },
+  };
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    FlConfig fc;
+    cases[i](&fc);
+    EXPECT_EQ(ValidateFlConfig(fc).code(), StatusCode::kInvalidArgument)
+        << "case " << i;
+  }
+}
+
 TEST(ValidateFlConfig, RunRejectsInvalidConfigWithStatus) {
   const Fixture& f = Fixture::Get();
   FlConfig fc = f.fc;

@@ -484,6 +484,20 @@ TEST(ValidateGnnConfig, RejectsDimensionsBelowOne) {
   EXPECT_EQ(ValidateGnnConfig(c).code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ValidateTrainConfig, RejectsNaNInfAndNonPositiveKnobs) {
+  EXPECT_TRUE(ValidateTrainConfig(TrainConfig()).ok());
+  for (double TrainConfig::*knob :
+       {&TrainConfig::learning_rate, &TrainConfig::margin,
+        &TrainConfig::pairs_per_sample}) {
+    for (double bad : {std::nan(""), HUGE_VAL, 0.0, -1.0}) {
+      TrainConfig c;
+      c.*knob = bad;
+      EXPECT_EQ(ValidateTrainConfig(c).code(), StatusCode::kInvalidArgument)
+          << bad;
+    }
+  }
+}
+
 TEST(Serialization, BufferRoundTripMatchesFileFormat) {
   const GnnConfig c = SmallConfig(GnnType::kMagnn);
   GnnModel original(c);

@@ -1,11 +1,12 @@
 // Parity, determinism, and race harness for the dense products
 // (tensor/ops.h).
 //
-// MatMul/MatMulTransA/MatMulTransB and their Into/Blocks forms must equal
-// the retained Reference* kernels bit for bit (memcmp): over a randomized
+// MatMul/MatMulTransA/MatMulTransB and their Into forms must equal the
+// retained Reference* kernels bit for bit (memcmp): over a randomized
 // shape sweep from degenerate shapes up to 40 x 500 x 1500, and over every
 // tile remainder at the paper's shapes on operands with signed zeros and
-// an infinity, into stale outputs. ci/run_tests.sh also runs this binary
+// an infinity, into stale outputs. Rows stacked into one product must get
+// the bits of their own product. ci/run_tests.sh also runs this binary
 // from a -DFEXIOT_NATIVE=OFF build, where neither side is FMA-contracted.
 // Results must be bit-identical across pool sizes and survive concurrent
 // callers (run under -DFEXIOT_SANITIZE=thread in ci/run_tests.sh).
@@ -154,7 +155,33 @@ TEST(Kernels, SmallMatMulEqualsReferenceBitForBit) {
   }
 }
 
-TEST(Kernels, SmallMatMulBlocksEqualsReferenceBitForBit) {
+// Row independence (docs/KERNELS.md §3): every batched forward multiplies
+// rows stacked from many graphs in one product, so each block of rows must
+// get the bits of its own product, whichever tiles the stacking puts them
+// in. Checks one product of all of \p a's rows against one product per
+// block of \p offsets.
+void ExpectStackedRowsEqualBlockProducts(const Matrix& a, const Matrix& b,
+                                         const std::vector<size_t>& offsets,
+                                         const Shape& s) {
+  Matrix stacked = Stale(s.n + 1, s.m + 1);
+  MatMulInto(a, b, &stacked);
+  ASSERT_EQ(stacked.rows(), s.n);
+  for (size_t bi = 0; bi + 1 < offsets.size(); ++bi) {
+    const size_t r0 = offsets[bi], r1 = offsets[bi + 1];
+    if (r0 == r1) continue;
+    Matrix block(r1 - r0, s.k);
+    std::copy(a.RowPtr(r0), a.RowPtr(r0) + block.size(), block.data());
+    Matrix alone = Stale(block.rows() + 1, s.m + 1);
+    MatMulInto(block, b, &alone);
+    ASSERT_EQ(std::memcmp(stacked.RowPtr(r0), alone.data(),
+                          alone.size() * sizeof(double)),
+              0)
+        << "rows [" << r0 << ", " << r1 << ") at n=" << s.n << " k=" << s.k
+        << " m=" << s.m;
+  }
+}
+
+TEST(Kernels, StackedRowsEqualPerBlockProductsBitForBit) {
   Rng rng(20);
   for (const Shape& s : TileShapes()) {
     const Matrix a = WithSignedZeros(s.n, s.k, &rng);
@@ -166,10 +193,13 @@ TEST(Kernels, SmallMatMulBlocksEqualsReferenceBitForBit) {
       const size_t rows = rng.UniformInt(uint64_t{5});
       offsets.push_back(std::min(s.n, offsets.back() + rows));
     }
-    Matrix c = Stale(s.n + 1, s.m + 1);
-    MatMulBlocksInto(a, b, offsets, &c);
-    ExpectSameBits(ReferenceMatMul(a, b), c, "MatMulBlocksInto", s);
+    ExpectStackedRowsEqualBlockProducts(a, b, offsets, s);
   }
+  // Blocks of 20, 0, 60 and 1 rows at a first-layer shape.
+  const Shape s = {81, 308, 16};
+  const Matrix a = WithSignedZeros(s.n, s.k, &rng);
+  const Matrix b = WithInfinity(s.k, s.m, &rng);
+  ExpectStackedRowsEqualBlockProducts(a, b, {0, 20, 20, 80, 81}, s);
 }
 
 TEST(Kernels, SmallMatMulTransAEqualsReferenceBitForBit) {

@@ -20,6 +20,8 @@
 namespace fexiot {
 namespace {
 
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
 // ---------------------------------------------------------------------------
 // Event queue
 // ---------------------------------------------------------------------------
@@ -290,6 +292,95 @@ TEST(RuntimeConfig, RejectsOutOfRangeKnobs) {
   EXPECT_TRUE(bad([](RuntimeConfig* c) {
     c->clients_per_round = std::numeric_limits<int>::min();
   }));
+}
+
+// Every floating-point knob is checked so that NaN fails it: a NaN
+// latency, slowdown or timeout would put NaN times into the event queue,
+// whose ordering is then not a strict weak order. Each case sets one
+// field to NaN (under the policy that reads it) and expects a rejection
+// that names the field.
+TEST(RuntimeConfig, RejectsNaNInEveryFloatingKnob) {
+  struct Case {
+    const char* field;
+    void (*mutate)(RuntimeConfig*);
+  };
+  const Case cases[] = {
+      {"deadline_s",
+       [](RuntimeConfig* c) {
+         c->policy = RoundPolicy::kDeadline;
+         c->deadline_s = kNaN;
+       }},
+      {"target_fraction", [](RuntimeConfig* c) { c->target_fraction = kNaN; }},
+      {"adaptive_deadline_quantile",
+       [](RuntimeConfig* c) { c->adaptive_deadline_quantile = kNaN; }},
+      {"over_selection", [](RuntimeConfig* c) { c->over_selection = kNaN; }},
+      {"retry_timeout_s",
+       [](RuntimeConfig* c) {
+         c->policy = RoundPolicy::kTimeoutRetry;
+         c->retry_timeout_s = kNaN;
+       }},
+      {"refetch_timeout_s",
+       [](RuntimeConfig* c) {
+         c->default_down.loss_prob = 0.1;
+         c->refetch_timeout_s = kNaN;
+       }},
+      {"async_alpha0", [](RuntimeConfig* c) { c->async_alpha0 = kNaN; }},
+      {"async_staleness_exponent",
+       [](RuntimeConfig* c) { c->async_staleness_exponent = kNaN; }},
+      {"speed_ewma_beta", [](RuntimeConfig* c) { c->speed_ewma_beta = kNaN; }},
+      {"train_seconds_per_graph",
+       [](RuntimeConfig* c) { c->train_seconds_per_graph = kNaN; }},
+      {"slowdown", [](RuntimeConfig* c) { c->default_fault.slowdown = kNaN; }},
+      {"crash_prob",
+       [](RuntimeConfig* c) { c->default_fault.crash_prob = kNaN; }},
+      {"slowdown",
+       [](RuntimeConfig* c) {
+         c->faults.resize(2);
+         c->faults[1].slowdown = kNaN;
+       }},
+  };
+  for (const Case& k : cases) {
+    RuntimeConfig c;
+    k.mutate(&c);
+    const Status s = ValidateRuntimeConfig(c);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << k.field;
+    EXPECT_NE(s.message().find(k.field), std::string::npos)
+        << k.field << ": " << s.message();
+  }
+}
+
+TEST(LinkModel, ValidateRejectsNaNInEveryField) {
+  void (*const cases[])(LinkModel*) = {
+      [](LinkModel* l) { l->latency_s = kNaN; },
+      [](LinkModel* l) { l->bandwidth_bps = kNaN; },
+      [](LinkModel* l) { l->jitter_s = kNaN; },
+      [](LinkModel* l) { l->loss_prob = kNaN; },
+  };
+  EXPECT_TRUE(ValidateLinkModel(LinkModel{}, "link").ok());
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    LinkModel l;
+    cases[i](&l);
+    EXPECT_EQ(ValidateLinkModel(l, "link").code(),
+              StatusCode::kInvalidArgument)
+        << "field " << i;
+  }
+}
+
+TEST(TreeTopology, ValidateRejectsNaNInEveryFloatingKnob) {
+  void (*const cases[])(TreeTopologyConfig*) = {
+      [](TreeTopologyConfig* t) { t->aggregator_crash_prob = kNaN; },
+      [](TreeTopologyConfig* t) { t->edge_up.latency_s = kNaN; },
+      [](TreeTopologyConfig* t) { t->regional_up.bandwidth_bps = kNaN; },
+  };
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    TreeTopologyConfig t;
+    t.edge_fanout = 4;
+    t.regional_fanout = 2;
+    ASSERT_TRUE(ValidateTreeTopology(t).ok());
+    cases[i](&t);
+    EXPECT_EQ(ValidateTreeTopology(t).code(), StatusCode::kInvalidArgument)
+        << "case " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

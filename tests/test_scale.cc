@@ -274,6 +274,22 @@ TEST(ScaleSimulator, RejectsOutOfRangeConfig) {
   }));
 }
 
+TEST(ScaleSimulator, ValidateRejectsNaNInEveryFloatingKnob) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  void (*const cases[])(ScaleFlConfig*) = {
+      [](ScaleFlConfig* c) { c->client.local_train_fraction = kNaN; },
+      [](ScaleFlConfig* c) { c->runtime.default_up.jitter_s = kNaN; },
+      [](ScaleFlConfig* c) { c->train.pairs_per_sample = kNaN; },
+  };
+  ASSERT_TRUE(ValidateScaleConfig(SmallScaleConfig()).ok());
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    ScaleFlConfig c = SmallScaleConfig();
+    cases[i](&c);
+    EXPECT_EQ(ValidateScaleConfig(c).code(), StatusCode::kInvalidArgument)
+        << "case " << i;
+  }
+}
+
 TEST(ScaleSimulator, RejectsFleetsBeyondIntClientIds) {
   // Runtime client ids are int: a larger fleet is rejected with a Status,
   // never truncated.

@@ -1,6 +1,6 @@
 // Tests for the online serving subsystem (DESIGN.md §5.11): CSR
-// block-diagonal stacking, per-block batched dense transforms, batched
-// block-diagonal inference vs one-graph-at-a-time (bit-identity incl.
+// block-diagonal stacking, batched block-diagonal inference vs
+// one-graph-at-a-time (bit-identity incl.
 // ragged/single/empty batches), the streaming detection engine end to end
 // (every snapshot equal to a from-scratch PrepareGraph for GCN, GIN and
 // MAGNN; its counters; rejected inputs), thread-count parity, and
@@ -112,44 +112,6 @@ TEST(CsrMutation, BlockDiagonalMatchesDenseOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-block batched dense transform
-// ---------------------------------------------------------------------------
-
-TEST(MatMulBlocks, BitIdenticalToPerBlockMatMulAcrossDispatchThreshold) {
-  // k = 308, m = 16, blocks of 20, 0, 60 and 1 rows: the batched kernel
-  // must match MatMulInto on each slice bit for bit.
-  const size_t k = 308, m = 16;
-  const std::vector<size_t> offsets = {0, 20, 20, 80, 81};
-  const size_t n = offsets.back();
-  Rng rng(4242);
-  Matrix a(n, k), b(k, m);
-  for (size_t i = 0; i < a.size(); ++i) {
-    a.data()[i] = rng.Uniform() < 0.2 ? 0.0 : rng.Uniform(-1.0, 1.0);
-  }
-  for (size_t i = 0; i < b.size(); ++i) b.data()[i] = rng.Uniform(-1.0, 1.0);
-
-  Matrix c;
-  MatMulBlocksInto(a, b, offsets, &c);
-  ASSERT_EQ(c.rows(), n);
-  ASSERT_EQ(c.cols(), m);
-
-  for (size_t bi = 0; bi + 1 < offsets.size(); ++bi) {
-    const size_t r0 = offsets[bi], r1 = offsets[bi + 1];
-    if (r0 == r1) continue;
-    Matrix sub(r1 - r0, k);
-    for (size_t r = r0; r < r1; ++r) {
-      std::memcpy(sub.RowPtr(r - r0), a.RowPtr(r), k * sizeof(double));
-    }
-    Matrix expect;
-    MatMulInto(sub, b, &expect);
-    EXPECT_EQ(std::memcmp(c.RowPtr(r0), expect.data(),
-                          expect.size() * sizeof(double)),
-              0)
-        << "block " << bi << " rows [" << r0 << ", " << r1 << ")";
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Batched block-diagonal inference vs per-graph Forward
 // ---------------------------------------------------------------------------
 
@@ -190,7 +152,7 @@ void CheckForwardBatchMatchesForward(GnnType type,
   GraphBatch batch;
   AssembleGraphBatch(ptrs, gc, &batch);
   ASSERT_EQ(batch.size(), ptrs.size());
-  BatchForwardWorkspace bws;
+  GnnWorkspace bws;
   std::vector<std::vector<double>> embs;
   const GnnModel& cmodel = model;
   cmodel.ForwardBatch(batch, &bws, &embs);
@@ -888,6 +850,33 @@ TEST(ArrivalsTest, ValidateRejectsBadKnobs) {
   c.burst_fraction = 0.5;
   c.burst_period_s = 0.0;
   EXPECT_FALSE(ValidateArrivalConfig(c).ok());
+}
+
+// NaN fails every floating-point check. A NaN linger would leave a pending
+// request that AdvanceTo never dispatches.
+TEST(ServingConfigTest, ValidateRejectsNaN) {
+  ServingConfig c;
+  c.max_linger_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(ValidateServingConfig(c).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ArrivalsTest, ValidateRejectsNaNInEveryFloatingKnob) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  void (*const cases[])(ArrivalConfig*) = {
+      [](ArrivalConfig* c) { c->rate_hz = kNaN; },
+      [](ArrivalConfig* c) { c->burst_factor = kNaN; },
+      [](ArrivalConfig* c) { c->burst_fraction = kNaN; },
+      [](ArrivalConfig* c) {
+        c->burst_fraction = 0.5;
+        c->burst_period_s = kNaN;
+      },
+  };
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    ArrivalConfig c;
+    cases[i](&c);
+    EXPECT_EQ(ValidateArrivalConfig(c).code(), StatusCode::kInvalidArgument)
+        << "case " << i;
+  }
 }
 
 TEST(ArrivalsTest, DeterministicAndStrictlyIncreasing) {
