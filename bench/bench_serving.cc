@@ -1,18 +1,20 @@
 // Serving trajectory bench: the streaming detection engine under seeded
 // Poisson/burst load, sweeping the batching knob max_batch over
-// {1, 2, 4, 8, 16}. max_batch == 1 is the classic one-graph-at-a-time
-// path; larger batches answer through the block-diagonal ForwardBatch
-// kernel, which is bit-identical (tests/test_serving.cc) but amortizes
-// propagation setup and keeps the transform's weight panels L1-resident
+// {1, 2, 4, 8, 16}. Every row answers through the engine's one request
+// path, the block-diagonal ForwardBatch over the pending homes' prepared
+// graphs: max_batch == 1 is a batch of one, dispatched on arrival, and
+// larger batches give the same bits (tests/test_serving.cc) but amortize
+// propagation setup and keep the transform's weight panels L1-resident
 // across the whole batch. Prints a table and writes a JSON perf record
 // (BENCH_serving.json by default, or the path in argv[1]).
 //
 // Reported latency is the engine's end-to-end semantic: simulated
 // queueing wait (batching linger) plus measured inference wall time, so
-// max_batch == 1 shows pure kernel latency while batched rows also carry
-// the linger cost the batching knob buys throughput with. The headline
-// acceptance metric is homes/sec (measured wall clock of the request
-// phase) where batch >= 4 must beat the classic path.
+// max_batch == 1 shows pure kernel latency (its requests never wait)
+// while batched rows also carry the linger cost the batching knob buys
+// throughput with. The headline acceptance metric is homes/sec (measured
+// wall clock of the request phase) where batch >= 4 must beat
+// max_batch == 1.
 
 #include <cstdio>
 #include <string>

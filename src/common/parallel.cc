@@ -1,9 +1,7 @@
 #include "common/parallel.h"
 
-#include <atomic>
-#include <condition_variable>
+#include <algorithm>
 #include <cstdlib>
-#include <exception>
 #include <memory>
 #include <mutex>
 
@@ -55,51 +53,16 @@ void For(size_t n, const std::function<void(size_t)>& fn) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  ThreadPool& pool = GlobalPool();
-  const size_t workers = pool.num_threads();
-  if (workers <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-
-  // Completion is tracked with a local latch rather than ThreadPool::Wait
-  // so that concurrent For calls from different threads do not wait on
-  // each other's tasks.
-  const size_t shards = n < workers ? n : workers;
-  std::atomic<size_t> next{0};
-  std::mutex mutex;
-  std::condition_variable done_cv;
-  size_t remaining = shards;
-  std::exception_ptr first_error;
-  for (size_t s = 0; s < shards; ++s) {
-    pool.Submit([&] {
-      for (;;) {
-        const size_t i = next.fetch_add(1);
-        if (i >= n) break;
-        try {
-          fn(i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(mutex);
-          if (first_error == nullptr) {
-            first_error = std::current_exception();
-          }
-          next.store(n);  // stop handing out further indices
-        }
-      }
-      std::lock_guard<std::mutex> lock(mutex);
-      if (--remaining == 0) done_cv.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mutex);
-  done_cv.wait(lock, [&] { return remaining == 0; });
-  if (first_error != nullptr) std::rethrow_exception(first_error);
+  GlobalPool().ParallelFor(n, fn);
 }
 
 void ForRange(size_t n, const std::function<void(size_t, size_t)>& fn) {
   if (n == 0) return;
-  size_t shards = NumThreads();
-  if (shards > n) shards = n;
-  if (shards <= 1 || ThreadPool::OnWorkerThread()) {
+  // The worker guard goes first, as in For: a pool worker never takes the
+  // global pool's mutex.
+  const size_t shards =
+      ThreadPool::OnWorkerThread() ? 1 : std::min(n, NumThreads());
+  if (shards <= 1) {
     fn(0, n);
     return;
   }

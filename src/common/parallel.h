@@ -32,7 +32,8 @@ size_t NumThreads();
 /// and tools; must not race with concurrent For calls.
 void SetThreads(size_t n);
 
-/// \brief Runs fn(i) for i in [0, n) across the global pool and waits.
+/// \brief Runs fn(i) for i in [0, n) across the global pool
+/// (ThreadPool::ParallelFor) and waits.
 ///
 /// Serial fallbacks: n <= 1, a single-worker pool, or a caller already on
 /// a ThreadPool worker thread (the oversubscription guard). Exceptions: the

@@ -50,34 +50,42 @@ void ThreadPool::Wait() {
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
   if (OnWorkerThread() || workers_.size() <= 1) {
-    // Nested call from a worker: Wait() on our own pool from inside a task
-    // can never finish (the waiting task itself is in flight), so run
-    // inline. Single-worker pools gain nothing from dispatch either.
+    // Nested call from a worker: workers blocked on their own shards can
+    // leave no thread to run them, and nested fan-out oversubscribes the
+    // machine, so run inline. Single-worker pools gain nothing from
+    // dispatch either.
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  std::atomic<size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
+  // Completion is a local latch over this call's own tasks, not Wait(),
+  // which would also wait for every task other threads submitted.
   const size_t shards = std::min(n, workers_.size());
+  std::atomic<size_t> next{0};
+  std::mutex mutex;
+  std::condition_variable done_cv;
+  size_t remaining = shards;
+  std::exception_ptr first_error;
   for (size_t s = 0; s < shards; ++s) {
-    Submit([&next, n, &fn, &error_mutex, &first_error] {
+    Submit([&] {
       for (;;) {
         const size_t i = next.fetch_add(1);
-        if (i >= n) return;
+        if (i >= n) break;
         try {
           fn(i);
         } catch (...) {
-          std::lock_guard<std::mutex> lock(error_mutex);
+          std::lock_guard<std::mutex> lock(mutex);
           if (first_error == nullptr) {
             first_error = std::current_exception();
           }
           next.store(n);  // stop handing out further indices
         }
       }
+      std::lock_guard<std::mutex> lock(mutex);
+      if (--remaining == 0) done_cv.notify_all();
     });
   }
-  Wait();
+  std::unique_lock<std::mutex> lock(mutex);
+  done_cv.wait(lock, [&] { return remaining == 0; });
   if (first_error != nullptr) std::rethrow_exception(first_error);
 }
 

@@ -13,10 +13,9 @@ namespace fexiot {
 /// training rounds and embarrassingly parallel dataset generation.
 ///
 /// Concurrency contract (pinned down by the test_common stress tests):
-///  - Submit/Wait may be called concurrently from any number of threads.
-///    Wait() blocks until *all* tasks submitted so far (by any thread) have
-///    completed; per-caller completion tracking is the job of higher-level
-///    wrappers such as parallel::For.
+///  - Submit/Wait/ParallelFor may be called concurrently from any number
+///    of threads. Wait() blocks until *all* tasks submitted so far (by any
+///    thread) have completed; ParallelFor waits only for its own indices.
 ///  - A task submitted via Submit that throws is caught in the worker,
 ///    logged, and dropped; it still counts as completed, so Wait() never
 ///    wedges and the process never std::terminate()s.
@@ -24,8 +23,9 @@ namespace fexiot {
 ///    thread and stops handing out further indices (indices already in
 ///    flight still run).
 ///  - ParallelFor called from a worker thread (of this or any other pool)
-///    runs inline serially: a worker blocking in Wait() on its own pool
-///    would deadlock, and nested fan-out oversubscribes the machine.
+///    runs inline serially: workers blocked on their own shards could
+///    leave no thread to run them, and nested fan-out oversubscribes the
+///    machine.
 class ThreadPool {
  public:
   /// Creates \p num_threads workers (defaults to hardware concurrency).
@@ -42,8 +42,9 @@ class ThreadPool {
   /// Blocks until all submitted tasks have completed.
   void Wait();
 
-  /// \brief Runs fn(i) for i in [0, n) across the pool and waits.
-  /// Serial inline when called from any pool's worker thread.
+  /// \brief Runs fn(i) for i in [0, n) across the pool and waits for
+  /// those indices only. Serial inline when called from any pool's worker
+  /// thread.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   size_t num_threads() const { return workers_.size(); }

@@ -7,8 +7,8 @@
 
 namespace fexiot {
 
-/// \brief A collection of labeled interaction graphs with split /
-/// partition utilities used by the federated experiments.
+/// \brief A collection of labeled interaction graphs with the random
+/// train/test split used by the experiments.
 class GraphDataset {
  public:
   GraphDataset() = default;
@@ -43,26 +43,9 @@ class GraphDataset {
 struct ClientPartition {
   /// indices[c] lists dataset indices owned by client c.
   std::vector<std::vector<size_t>> indices;
-  /// Latent cluster id per client (when clustered partitioning was used;
-  /// -1 otherwise). Ground truth for evaluating clustered FL.
+  /// Latent cluster id per client (BuildClusteredFederatedCorpus fills
+  /// it; empty otherwise). Ground truth for evaluating clustered FL.
   std::vector<int> client_cluster;
 };
-
-/// \brief Dirichlet label-skew partition (Section IV-C): each class's
-/// samples are spread over clients with proportions ~ Dirichlet(alpha).
-/// Small alpha -> highly unbalanced non-i.i.d. clients. \p rng must be
-/// non-null and \p num_clients positive (asserted; release builds return
-/// an empty partition). alpha is clamped to a tiny positive floor, so
-/// alpha -> 0 degrades to Rng::Dirichlet's uniform fallback.
-ClientPartition PartitionDirichlet(const GraphDataset& data, int num_clients,
-                                   double alpha, Rng* rng);
-
-/// \brief Clustered heterogeneity partition: clients are grouped into
-/// \p num_clusters latent clusters; each cluster prefers a distinct subset
-/// of vulnerability types (concept heterogeneity), and within a cluster
-/// samples are spread with Dirichlet(alpha) label skew. This is the regime
-/// the paper's layer-wise clustering is designed for.
-ClientPartition PartitionClustered(const GraphDataset& data, int num_clients,
-                                   int num_clusters, double alpha, Rng* rng);
 
 }  // namespace fexiot

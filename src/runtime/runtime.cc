@@ -216,27 +216,10 @@ void FederatedRuntime::SendBroadcast(EventQueue* queue, RoundOutcome* outcome,
       attempt);
 }
 
-RoundOutcome FederatedRuntime::ExecuteRound(
-    int round, double broadcast_bytes, const std::vector<double>& upload_bytes,
-    const std::vector<double>& train_seconds) {
-  return Execute(round, broadcast_bytes, upload_bytes, train_seconds);
-}
-
-RoundOutcome FederatedRuntime::ExecuteRound(
-    int round, const std::vector<double>& broadcast_bytes,
-    const std::vector<double>& upload_bytes,
-    const std::vector<double>& train_seconds) {
-  return Execute(round, broadcast_bytes, upload_bytes, train_seconds);
-}
-
-RoundOutcome FederatedRuntime::ExecuteRound(int round, double broadcast_bytes,
-                                            double upload_bytes,
-                                            double train_seconds) {
-  return Execute(round, broadcast_bytes, upload_bytes, train_seconds);
-}
-
-RoundOutcome FederatedRuntime::Execute(int round, Cost broadcast_bytes,
-                                       Cost upload_bytes, Cost train_seconds) {
+RoundOutcome FederatedRuntime::ExecuteRound(int round,
+                                            RoundCost broadcast_bytes,
+                                            RoundCost upload_bytes,
+                                            RoundCost train_seconds) {
   RoundOutcome outcome;
   outcome.start_time_s = now_;
   const bool is_async = config_.policy == RoundPolicy::kAsync ||

@@ -223,28 +223,30 @@ class FederatedRuntime {
  public:
   FederatedRuntime(const RuntimeConfig& config, int num_clients);
 
-  /// Simulates round \p round: \p broadcast_bytes is the serialized
-  /// downlink message size per client; \p upload_bytes[c] the total
-  /// serialized upload of client c; \p train_seconds[c] its nominal local
-  /// training time (scaled by the straggler profile inside).
-  RoundOutcome ExecuteRound(int round, double broadcast_bytes,
-                            const std::vector<double>& upload_bytes,
-                            const std::vector<double>& train_seconds);
+  /// One per-client round cost: one value per client, or one shared value
+  /// (no per-client vector is built for uniform fleets, such as
+  /// ScaleSimulator's million clients). A per-client vector is borrowed
+  /// and must outlive the ExecuteRound call.
+  struct RoundCost {
+    RoundCost(double all) : per_client(nullptr), uniform(all) {}
+    RoundCost(const std::vector<double>& each)
+        : per_client(&each), uniform(0) {}
+    double operator[](int client) const {
+      return per_client != nullptr
+                 ? (*per_client)[static_cast<size_t>(client)]
+                 : uniform;
+    }
+    const std::vector<double>* per_client;
+    double uniform;
+  };
 
-  /// Per-client downlink form: \p broadcast_bytes[c] is the serialized
-  /// downlink message size for client c. A mixed-codec fleet encodes each
-  /// client's broadcast with its own negotiated codec, so downlink sizes
-  /// differ per client; the scalar overload above is the uniform special
-  /// case and stays bit-identical.
-  RoundOutcome ExecuteRound(int round,
-                            const std::vector<double>& broadcast_bytes,
-                            const std::vector<double>& upload_bytes,
-                            const std::vector<double>& train_seconds);
-
-  /// Uniform form: every client costs the same, so no per-client vector
-  /// is built (the lazy driver's million-client fleets).
-  RoundOutcome ExecuteRound(int round, double broadcast_bytes,
-                            double upload_bytes, double train_seconds);
+  /// Simulates round \p round: \p broadcast_bytes[c] is the serialized
+  /// downlink message size for client c (a mixed-codec fleet encodes each
+  /// client's broadcast with its own negotiated codec); \p upload_bytes[c]
+  /// the total serialized upload of client c; \p train_seconds[c] its
+  /// nominal local training time (scaled by the straggler profile inside).
+  RoundOutcome ExecuteRound(int round, RoundCost broadcast_bytes,
+                            RoundCost upload_bytes, RoundCost train_seconds);
 
   /// Simulated wall-clock after the last executed round.
   double now() const { return now_; }
@@ -259,21 +261,6 @@ class FederatedRuntime {
   const AggregationTree& tree() const { return tree_; }
 
  private:
-  /// One per-client round cost: one value per client, or one shared value.
-  struct Cost {
-    Cost(double all) : per_client(nullptr), uniform(all) {}
-    Cost(const std::vector<double>& each) : per_client(&each), uniform(0) {}
-    double operator[](int client) const {
-      return per_client != nullptr
-                 ? (*per_client)[static_cast<size_t>(client)]
-                 : uniform;
-    }
-    const std::vector<double>* per_client;
-    double uniform;
-  };
-
-  RoundOutcome Execute(int round, Cost broadcast_bytes, Cost upload_bytes,
-                       Cost train_seconds);
   void SendUpload(EventQueue* queue, RoundOutcome* outcome, int round,
                   int client, int attempt, double send_time,
                   double upload_bytes);

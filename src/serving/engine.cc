@@ -300,6 +300,8 @@ Status StreamingDetectionEngine::Ingest(int home_id, const LogEntry& entry) {
 }
 
 void StreamingDetectionEngine::PrepareForSnapshot(HomeState* hs) {
+  // A pending request reads hs->prepared at dispatch.
+  assert(!hs->pending_request);
   if (hs->relational_dirty) {
     // Deterministic (noise-free) relational augmentation over the live
     // edge set: a structural change can flip relational dims anywhere in
@@ -361,38 +363,14 @@ Status StreamingDetectionEngine::RequestDetection(
   hs->clock = effective;
   ExpireTo(hs, effective);
 
-  if (config_.max_batch == 1) {
-    // Classic one-graph-at-a-time path: no snapshot copy, no batching
-    // machinery — the honest baseline the batched path is measured
-    // against.
-    PrepareForSnapshot(hs);
-    Stopwatch sw;
-    const std::vector<double>& emb =
-        model_->Forward(hs->prepared, nullptr, &ws_);
-    const double wall = sw.ElapsedSeconds();
-    stats_.RecordBatch(1);
-    stats_.latency.Add(wall);
-    DetectionResult res;
-    res.home_id = home_id;
-    res.request_time = now;
-    res.latency_s = wall;
-    res.embedding = emb;  // copy: the reference aliases engine scratch
-    res.score = VectorNorm(res.embedding);
-    res.batch_size = 1;
-    completed->push_back(std::move(res));
-    return Status::OK();
-  }
-
   if (hs->pending_request) {
-    // A second request for a home already in the batch forces an early
-    // dispatch: each pending slot must keep its snapshot-at-enqueue view.
+    // A second request for a home already in the batch dispatches the
+    // batch first: the pending request reads the snapshot this one is
+    // about to replace.
     Dispatch(effective, completed);
   }
   PrepareForSnapshot(hs);
-  const size_t slot = pending_.size();
-  if (slots_.size() <= slot) slots_.resize(slot + 1);
-  slots_[slot] = hs->prepared;  // copy-assign reuses slot capacity
-  pending_.push_back({home_id, now, slot});
+  pending_.push_back({hs, home_id, now});
   hs->pending_request = true;
   if (pending_.size() >= static_cast<size_t>(config_.max_batch) ||
       config_.max_linger_s == 0.0) {
@@ -425,7 +403,7 @@ void StreamingDetectionEngine::Dispatch(
   const size_t size = pending_.size();
   std::vector<const PreparedGraph*> graphs;
   graphs.reserve(size);
-  for (const PendingRequest& p : pending_) graphs.push_back(&slots_[p.slot]);
+  for (const PendingRequest& p : pending_) graphs.push_back(&p.home->prepared);
   AssembleGraphBatch(graphs, model_->config(), &batch_);
   Stopwatch sw;
   model_->ForwardBatch(batch_, &ws_, &batch_embeddings_);
@@ -444,8 +422,7 @@ void StreamingDetectionEngine::Dispatch(
     res.score = VectorNorm(res.embedding);
     res.batch_size = static_cast<int>(size);
     stats_.latency.Add(res.latency_s);
-    HomeState* hs = Find(p.home_id);
-    if (hs != nullptr) hs->pending_request = false;
+    p.home->pending_request = false;
     completed->push_back(std::move(res));
   }
   pending_.clear();

@@ -18,8 +18,8 @@ namespace fexiot {
 /// itself comes from the GnnModel the engine wraps; the mining windows and
 /// the active window are constants (StreamingDetectionEngine).
 struct ServingConfig {
-  /// Requests accumulated before an inference dispatch. 1 = the classic
-  /// one-graph-at-a-time path (no snapshot copy, no batching overhead).
+  /// Requests accumulated before an inference dispatch. 1 = a batch of
+  /// one, dispatched as the request arrives.
   int max_batch = 8;
   /// Max simulated seconds a request may wait for batch-mates before the
   /// batch dispatches anyway (0 = dispatch as soon as sized or advanced).
@@ -158,7 +158,13 @@ class StreamingDetectionEngine {
   struct HomeState {
     Home home;
     InteractionGraph graph;      ///< fixed node universe, live edge set
-    PreparedGraph prepared;      ///< as of the last snapshot
+    /// As of the last snapshot; a pending request's batch reads it at
+    /// dispatch. Only AddHome and PrepareForSnapshot write it, and
+    /// PrepareForSnapshot never runs while pending_request is set (a
+    /// second request dispatches the pending batch first), so a pending
+    /// request sees its enqueue-time snapshot whatever Ingest does
+    /// meanwhile.
+    PreparedGraph prepared;
     /// related[i * n + j]: rule i's actions can fire rule j's trigger.
     std::vector<bool> related;
     std::vector<RuleStats> rules;
@@ -171,7 +177,7 @@ class StreamingDetectionEngine {
     bool relational_dirty = true;
     /// Node features changed since prepared.input was filled.
     bool input_dirty = false;
-    bool pending_request = false;  ///< snapshot currently in the batch
+    bool pending_request = false;  ///< a request is in the pending batch
   };
 
   HomeState* Find(int home_id);
@@ -191,7 +197,7 @@ class StreamingDetectionEngine {
   /// If edges changed: re-runs the relational augmentation and rebuilds
   /// the propagation matrix. If features or edges changed: refills the
   /// prepared input. Then the optional parity check. Called right before
-  /// a snapshot is taken.
+  /// a snapshot is taken, never while \p hs has a request pending.
   void PrepareForSnapshot(HomeState* hs);
 
   void Dispatch(double dispatch_time, std::vector<DetectionResult>* completed);
@@ -202,15 +208,14 @@ class StreamingDetectionEngine {
   std::deque<HomeState> homes_;  ///< stable addresses under growth
 
   struct PendingRequest {
+    HomeState* home = nullptr;  ///< its prepared graph is the snapshot
     int home_id = -1;
     double enqueue_time = 0.0;
-    size_t slot = 0;
   };
   std::vector<PendingRequest> pending_;
-  std::vector<PreparedGraph> slots_;  ///< reused snapshot storage
-  GraphBatch batch_;                  ///< reused batch assembly
-  GnnWorkspace ws_;  ///< scratch of every forward, batched or not
-  Matrix raw_;       ///< FillPreparedInput's X staging (GCN/GIN)
+  GraphBatch batch_;  ///< reused batch assembly
+  GnnWorkspace ws_;   ///< scratch of the batched forward
+  Matrix raw_;        ///< FillPreparedInput's X staging (GCN/GIN)
   std::vector<std::vector<double>> batch_embeddings_;
 
   ServingStats stats_;

@@ -126,29 +126,6 @@ Matrix CsrMatrix::ToDense() const {
   return out;
 }
 
-CsrMatrix CsrMatrix::Transposed() const {
-  CsrMatrix out;
-  out.rows_ = cols_;
-  out.cols_ = rows_;
-  out.row_ptr_.assign(cols_ + 1, 0);
-  out.col_idx_.resize(nnz());
-  out.values_.resize(nnz());
-  // Counting sort by column: count, prefix-sum, scatter. Scattering in
-  // row-major source order leaves each output row's columns (= source row
-  // indices) ascending, which SpMMTransA's determinism contract needs.
-  for (int c : col_idx_) ++out.row_ptr_[static_cast<size_t>(c) + 1];
-  for (size_t c = 0; c < cols_; ++c) out.row_ptr_[c + 1] += out.row_ptr_[c];
-  std::vector<size_t> cursor(out.row_ptr_.begin(), out.row_ptr_.end() - 1);
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t idx = row_ptr_[r]; idx < row_ptr_[r + 1]; ++idx) {
-      const size_t dst = cursor[static_cast<size_t>(col_idx_[idx])]++;
-      out.col_idx_[dst] = static_cast<int>(r);
-      out.values_[dst] = values_[idx];
-    }
-  }
-  return out;
-}
-
 void SpMM(const CsrMatrix& a, const Matrix& b, Matrix* c) {
   assert(a.cols() == b.rows());
   assert(c != &b && "SpMM output must not alias its dense input");
@@ -180,17 +157,6 @@ void SpMM(const CsrMatrix& a, const Matrix& b, Matrix* c) {
 Matrix SpMM(const CsrMatrix& a, const Matrix& b) {
   Matrix c;
   SpMM(a, b, &c);
-  return c;
-}
-
-void SpMMTransA(const CsrMatrix& a, const Matrix& b, Matrix* c) {
-  assert(a.rows() == b.rows());
-  SpMM(a.Transposed(), b, c);
-}
-
-Matrix SpMMTransA(const CsrMatrix& a, const Matrix& b) {
-  Matrix c;
-  SpMMTransA(a, b, &c);
   return c;
 }
 

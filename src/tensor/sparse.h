@@ -63,10 +63,6 @@ class CsrMatrix {
   /// \brief Densifies (testing / diagnostics; exact — no rounding).
   Matrix ToDense() const;
 
-  /// \brief Returns the transpose as a new CSR matrix (columns stay
-  /// ascending within each row). O(nnz + rows + cols).
-  CsrMatrix Transposed() const;
-
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
   size_t nnz() const { return values_.size(); }
@@ -110,15 +106,5 @@ void SpMM(const CsrMatrix& a, const Matrix& b, Matrix* c);
 
 /// \brief Convenience allocating overload of SpMM.
 Matrix SpMM(const CsrMatrix& a, const Matrix& b);
-
-/// \brief C = A^T * B with A sparse (CSR). Implemented as SpMM over
-/// Transposed(), whose ascending row order reproduces the scatter order
-/// of ReferenceMatMulTransA bit for bit; same parallelism and determinism
-/// contracts as SpMM. Allocates the transpose internally — hot paths with
-/// a symmetric A (both GNN propagation forms) should call SpMM directly.
-void SpMMTransA(const CsrMatrix& a, const Matrix& b, Matrix* c);
-
-/// \brief Convenience allocating overload of SpMMTransA.
-Matrix SpMMTransA(const CsrMatrix& a, const Matrix& b);
 
 }  // namespace fexiot

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -211,6 +214,33 @@ TEST(ThreadPool, ParallelForCoversAll) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+// ParallelFor's completion covers its own indices only: a task another
+// caller submitted to the same pool, still blocked, must not hold it up.
+TEST(ThreadPool, ParallelForWaitsOnlyForItsOwnIndices) {
+  ThreadPool pool(4);
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<bool> blocker_done{false};
+  pool.Submit([&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait_for(lock, std::chrono::seconds(2), [&] { return release; });
+    blocker_done = true;
+  });
+  std::vector<std::atomic<int>> hits(64);
+  pool.ParallelFor(64, [&](size_t i) { hits[i].fetch_add(1); });
+  EXPECT_FALSE(blocker_done.load())
+      << "ParallelFor waited for a task it did not submit";
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+  }
+  cv.notify_all();
+  pool.Wait();
+  EXPECT_TRUE(blocker_done.load());
+}
+
 TEST(ThreadPool, SubmitAndWait) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
@@ -274,7 +304,8 @@ TEST(ThreadPool, ParallelForRethrowsFirstException) {
 }
 
 // The oversubscription guard: ParallelFor from a worker runs inline, so
-// nesting completes instead of deadlocking on Wait-from-worker.
+// nesting completes instead of deadlocking on workers that wait for
+// their own pool.
 TEST(ThreadPool, NestedParallelForRunsInlineOnWorkers) {
   ThreadPool pool(2);
   std::vector<std::atomic<int>> hits(16 * 8);

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "graph/corpus.h"
 #include "graph/dataset.h"
 #include "graph/fusion.h"
@@ -217,29 +215,6 @@ TEST(Dataset, SplitPreservesAllSamples) {
   EXPECT_EQ(train.size(), 24u);
 }
 
-TEST(Dataset, DirichletPartitionCoversAll) {
-  Rng rng(22);
-  CorpusOptions opt;
-  opt.platforms = {Platform::kIfttt};
-  opt.min_nodes = 3;
-  opt.max_nodes = 6;
-  GraphCorpusGenerator gen(opt, &rng);
-  GraphDataset data(gen.GenerateDataset(60));
-  for (double alpha : {0.1, 1.0, 10.0}) {
-    const ClientPartition part = PartitionDirichlet(data, 5, alpha, &rng);
-    size_t total = 0;
-    std::set<size_t> seen;
-    for (const auto& shard : part.indices) {
-      total += shard.size();
-      for (size_t i : shard) {
-        EXPECT_TRUE(seen.insert(i).second) << "sample assigned twice";
-      }
-      EXPECT_GE(shard.size(), 2u);
-    }
-    EXPECT_EQ(total, data.size());
-  }
-}
-
 TEST(Dataset, ClusteredFederatedCorpusInvariants) {
   Rng rng(23);
   CorpusOptions opt;
@@ -265,40 +240,12 @@ TEST(Dataset, ClusteredFederatedCorpusInvariants) {
 
 TEST(Dataset, SplitAndPartitionHandleDegenerateInputs) {
   Rng rng(27);
-  // 0 graphs: split and partition stay well-formed and empty.
+  // 0 graphs: the split stays well-formed and empty.
   GraphDataset empty;
   GraphDataset train, test;
   empty.Split(0.8, &rng, &train, &test);
   EXPECT_TRUE(train.empty());
   EXPECT_TRUE(test.empty());
-  const ClientPartition p0 = PartitionDirichlet(empty, 4, 1.0, &rng);
-  ASSERT_EQ(p0.indices.size(), 4u);
-  for (const auto& shard : p0.indices) EXPECT_TRUE(shard.empty());
-
-  CorpusOptions opt;
-  opt.platforms = {Platform::kIfttt};
-  opt.min_nodes = 3;
-  opt.max_nodes = 6;
-  GraphCorpusGenerator gen(opt, &rng);
-  GraphDataset data(gen.GenerateDataset(20));
-
-  // 1 client: everything lands on it.
-  const ClientPartition p1 = PartitionDirichlet(data, 1, 1.0, &rng);
-  ASSERT_EQ(p1.indices.size(), 1u);
-  EXPECT_EQ(p1.indices[0].size(), data.size());
-
-  // alpha -> 0 (including exactly 0): must neither crash in the Gamma
-  // sampler nor lose samples.
-  for (double alpha : {0.0, 1e-9}) {
-    const ClientPartition pa = PartitionDirichlet(data, 4, alpha, &rng);
-    size_t total = 0;
-    for (const auto& shard : pa.indices) total += shard.size();
-    EXPECT_EQ(total, data.size()) << "alpha=" << alpha;
-    const ClientPartition pc = PartitionClustered(data, 4, 2, alpha, &rng);
-    total = 0;
-    for (const auto& shard : pc.indices) total += shard.size();
-    EXPECT_EQ(total, data.size()) << "alpha=" << alpha;
-  }
 }
 
 #if !defined(NDEBUG) && defined(GTEST_HAS_DEATH_TEST)
@@ -307,8 +254,6 @@ TEST(DatasetDeathTest, NullRngAsserts) {
   data.Add(InteractionGraph{});
   GraphDataset train, test;
   EXPECT_DEATH(data.Split(0.5, nullptr, &train, &test), "rng");
-  EXPECT_DEATH(PartitionDirichlet(data, 2, 1.0, nullptr), "rng");
-  EXPECT_DEATH(PartitionClustered(data, 2, 2, 1.0, nullptr), "rng");
 }
 #endif
 

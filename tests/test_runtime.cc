@@ -212,8 +212,7 @@ TEST(Message, RejectsTruncatedQuantizedRecordWithValidCrc) {
   // A record whose element count promises more lanes than the frame holds
   // must fail as truncation even when the CRC over the short frame is
   // valid (a buggy sender, not line corruption).
-  std::vector<uint8_t> bytes;
-  bytes.insert(bytes.end(), {'F', 'E', 'X', 'M', 'S', 'G', '0', '2'});
+  std::vector<uint8_t> bytes = {'F', 'E', 'X', 'M', 'S', 'G', '0', '2'};
   wire::AppendU32(&bytes, 1);  // type = kLayerUpdate
   wire::AppendU32(&bytes, 0);  // round
   wire::AppendU32(&bytes, 0);  // sender
@@ -859,17 +858,19 @@ TEST(FederatedRuntime, VectorBroadcastPricesPerClient) {
   RuntimeConfig rc;
   rc.default_down.bandwidth_bps = 1e6;
   const std::vector<double> up(2, 0.0), train(2, 0.0);
-  // Scalar and uniform-vector overloads are the same round.
+  // A scalar and a uniform vector are the same round.
   FederatedRuntime a(rc, 2), b(rc, 2);
   const RoundOutcome oa = a.ExecuteRound(0, 1e5, up, train);
-  const RoundOutcome ob = b.ExecuteRound(0, {1e5, 1e5}, up, train);
+  const RoundOutcome ob =
+      b.ExecuteRound(0, std::vector<double>{1e5, 1e5}, up, train);
   EXPECT_DOUBLE_EQ(oa.end_time_s, ob.end_time_s);
   EXPECT_DOUBLE_EQ(oa.downlink_wire_bytes, 2e5);
   EXPECT_DOUBLE_EQ(ob.downlink_wire_bytes, 2e5);
   // A heavier per-client downlink stretches that client's transfer, so a
   // mixed fleet ends later than a uniformly light one.
   FederatedRuntime c(rc, 2);
-  const RoundOutcome oc = c.ExecuteRound(0, {1e5, 4e5}, up, train);
+  const RoundOutcome oc =
+      c.ExecuteRound(0, std::vector<double>{1e5, 4e5}, up, train);
   EXPECT_GT(oc.end_time_s, ob.end_time_s);
   EXPECT_DOUBLE_EQ(oc.downlink_wire_bytes, 5e5);
 }
@@ -1217,7 +1218,7 @@ TEST(FederatedRuntime, DeadlineOverSelectionAppliesToTheSampledCohort) {
 }
 
 TEST(FederatedRuntime, UniformCostsMatchPerClientVectors) {
-  // The uniform overload is the equal-vector special case, event for
+  // Uniform costs are the equal-vector special case, event for
   // event: retries on a lossy flat fleet, and tree forwards.
   const int n = 6;
   RuntimeConfig retry;

@@ -318,7 +318,7 @@ TEST(ServingEngine, BatchedBitIdenticalToSequential) {
     }
   }
 
-  // The classic path reports size-1 dispatches only.
+  // max_batch 1 reports size-1 dispatches only.
   ASSERT_EQ(seq_stats.batch_size_hist.size(), 2u);
   EXPECT_EQ(seq_stats.batch_size_hist[1], seq_stats.requests);
 }
@@ -363,6 +363,55 @@ TEST(ServingEngine, SingleEmptyAndForcedBatches) {
 
   engine.Flush(&out);  // drained: another no-op
   EXPECT_EQ(out.size(), 2u);
+}
+
+TEST(ServingEngine, PendingRequestKeepsItsEnqueueSnapshot) {
+  // The batch reads each pending home's own prepared graph at dispatch,
+  // so entries ingested for that home while its request waits must not
+  // reach the request: only the next snapshot may take them in.
+  const ServedHome& sh = ServingWorld()[3];
+  GnnConfig gc;
+  const GnnModel model(gc);
+  const size_t cut = sh.log.size() / 2;
+  const double t_req = sh.log[cut - 1].timestamp;
+  auto add_and_ingest_prefix = [&](StreamingDetectionEngine* e) {
+    ASSERT_TRUE(e->AddHome(0, sh.home).ok());
+    for (size_t k = 0; k < cut; ++k) {
+      ASSERT_TRUE(e->Ingest(0, sh.log[k]).ok());
+    }
+  };
+
+  ServingConfig single;
+  single.max_batch = 1;
+  StreamingDetectionEngine reference(&model, single);
+  add_and_ingest_prefix(&reference);
+  std::vector<DetectionResult> expected;
+  ASSERT_TRUE(reference.RequestDetection(0, t_req, &expected).ok());
+  ASSERT_EQ(expected.size(), 1u);
+
+  ServingConfig batched;
+  batched.max_batch = 8;
+  batched.max_linger_s = 1e9;
+  StreamingDetectionEngine engine(&model, batched);
+  add_and_ingest_prefix(&engine);
+  std::vector<DetectionResult> out;
+  ASSERT_TRUE(engine.RequestDetection(0, t_req, &out).ok());
+  EXPECT_TRUE(out.empty());
+  const uint64_t firings = engine.stats().firings;
+  for (size_t k = cut; k < sh.log.size(); ++k) {
+    ASSERT_TRUE(engine.Ingest(0, sh.log[k]).ok());
+  }
+  ASSERT_GT(engine.stats().firings, firings);
+  engine.Flush(&out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].request_time, t_req);
+  EXPECT_TRUE(BitsEqual(out[0].embedding, expected[0].embedding));
+
+  // The next request snapshots the ingested entries.
+  ASSERT_TRUE(engine.RequestDetection(0, sh.log_end, &out).ok());
+  engine.Flush(&out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_FALSE(BitsEqual(out[1].embedding, expected[0].embedding));
 }
 
 TEST(ServingEngine, AdvanceToDispatchesAtLingerDeadline) {
